@@ -80,8 +80,9 @@ void BM_RenderResultLine(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderResultLine);
 
-// Ordered-sink throughput: in-order pushes drain through the writer
-// thread; close() joins it so each iteration measures a full flush.
+// Ordered-sink throughput: each in-order push completes the prefix,
+// so the pushing thread writes its record at once; close() flushes,
+// so each iteration measures every record reaching the stream.
 void BM_SinkOrderedPush(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::string record(120, 'x');

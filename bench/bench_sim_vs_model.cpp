@@ -40,8 +40,11 @@ int main() {
           {config.name(), exponential ? "exponential" : "deterministic",
            report::format_fixed(sim_result.downtime_minutes_per_year, 2) +
                " min/yr",
-           "(" + report::format_fixed(ci_lo, 2) + ", " +
-               report::format_fixed(ci_hi, 2) + ")",
+           std::string("(")
+               .append(report::format_fixed(ci_lo, 2))
+               .append(", ")
+               .append(report::format_fixed(ci_hi, 2))
+               .append(")"),
            report::format_fixed(sim_result.mtbf_hours, 0),
            report::format_fixed(analytic.downtime_minutes_per_year, 2) +
                " min/yr",

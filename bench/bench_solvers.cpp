@@ -108,7 +108,7 @@ BENCHMARK(BM_JsasSolveCacheHit);
 ctmc::Ctmc mild_chain(std::size_t n) {
   ctmc::CtmcBuilder b;
   for (std::size_t i = 0; i < n; ++i) {
-    b.state("s" + std::to_string(i), i == 0 ? 0.0 : 1.0);
+    b.state(std::string("s").append(std::to_string(i)), i == 0 ? 0.0 : 1.0);
   }
   for (std::size_t i = 0; i < n; ++i) {
     b.rate(i, (i + 1) % n, 1.0 + static_cast<double>(i % 3));

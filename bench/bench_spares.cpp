@@ -34,11 +34,11 @@ int main() {
           {std::to_string(spares),
            report::format_fixed(sla_days, 0) + " day(s)",
            report::format_fixed(m.downtime_minutes_per_year, 4),
-           "+" + report::format_percent(
-                     m.downtime_minutes_per_year /
-                             figure3.downtime_minutes_per_year -
-                         1.0,
-                     2),
+           std::string("+").append(report::format_percent(
+               m.downtime_minutes_per_year /
+                       figure3.downtime_minutes_per_year -
+                   1.0,
+               2)),
            report::format_fixed(m.mtbf_hours, 0)});
     }
   }

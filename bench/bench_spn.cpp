@@ -48,7 +48,7 @@ spn::PetriNet pipeline_net(std::uint32_t tokens) {
   const spn::PlaceId places[] = {p0, p1, p2, p3};
   for (int k = 0; k < 4; ++k) {
     const auto t = net.add_timed_transition(
-        "t" + std::to_string(k),
+        std::string("t").append(std::to_string(k)),
         [from = places[k]](const spn::Marking& m) {
           return static_cast<double>(m[from]);
         });

@@ -42,7 +42,8 @@ GeneratedModel random_ergodic_ctmc(stats::RandomEngine& rng,
     const bool down =
         i > 0 && rng.bernoulli(options.down_probability);
     has_down = has_down || down;
-    states.push_back({"s" + std::to_string(i), down ? 0.0 : 1.0});
+    states.push_back(
+        {std::string("s").append(std::to_string(i)), down ? 0.0 : 1.0});
   }
   if (!has_down) states.back().reward = 0.0;
 
@@ -61,7 +62,9 @@ GeneratedModel random_ergodic_ctmc(stats::RandomEngine& rng,
     }
   }
   GeneratedModel out{ctmc::Ctmc(std::move(states), std::move(transitions)),
-                     "ergodic(n=" + std::to_string(n) + ")",
+                     std::string("ergodic(n=")
+                             .append(std::to_string(n))
+                             .append(")"),
                      std::nullopt,
                      std::nullopt};
   return out;
@@ -75,7 +78,7 @@ GeneratedModel random_birth_death(stats::RandomEngine& rng,
   for (std::size_t i = 0; i < n; ++i) {
     // Level 0 = all-up; the deepest levels are down, mirroring an
     // occupancy/repair model.
-    states.push_back({"level" + std::to_string(i),
+    states.push_back({std::string("level").append(std::to_string(i)),
                       i + 1 == n ? 0.0 : 1.0});
   }
   std::vector<double> births(n - 1);
@@ -98,7 +101,9 @@ GeneratedModel random_birth_death(stats::RandomEngine& rng,
   for (double& p : pi) p /= total;
 
   GeneratedModel out{ctmc::Ctmc(std::move(states), std::move(transitions)),
-                     "birth-death(n=" + std::to_string(n) + ")",
+                     std::string("birth-death(n=")
+                             .append(std::to_string(n))
+                             .append(")"),
                      std::move(pi),
                      std::nullopt};
   return out;
@@ -110,7 +115,7 @@ GeneratedModel random_erlang_chain(stats::RandomEngine& rng,
   std::vector<ctmc::State> states;
   states.reserve(stages + 1);
   for (std::size_t i = 0; i < stages; ++i) {
-    states.push_back({"stage" + std::to_string(i), 1.0});
+    states.push_back({std::string("stage").append(std::to_string(i)), 1.0});
   }
   states.push_back({"absorbed", 0.0});
   std::vector<ctmc::Transition> transitions;
@@ -125,7 +130,9 @@ GeneratedModel random_erlang_chain(stats::RandomEngine& rng,
   // analyses treat "absorbed" as a target and ignore its exits.
   transitions.push_back({stages, 0, 1.0});
   GeneratedModel out{ctmc::Ctmc(std::move(states), std::move(transitions)),
-                     "erlang(k=" + std::to_string(stages) + ")",
+                     std::string("erlang(k=")
+                             .append(std::to_string(stages))
+                             .append(")"),
                      std::nullopt,
                      mtta};
   return out;

@@ -184,7 +184,12 @@ std::string BinaryNode::to_string() const {
     case BinaryOp::kDivide: op = "/"; break;
     case BinaryOp::kPower: op = "^"; break;
   }
-  return "(" + lhs_->to_string() + op + rhs_->to_string() + ")";
+  std::string out = "(";
+  out += lhs_->to_string();
+  out += op;
+  out += rhs_->to_string();
+  out += ')';
+  return out;
 }
 
 namespace {

@@ -16,8 +16,15 @@ const std::string kFls = "((as_La_os+as_La_hw)/" + kLa + ")";
 
 std::string occupancy_name(std::size_t r, std::size_t s, std::size_t l) {
   if (r == 0 && s == 0 && l == 0) return "All_Work";
-  return "d" + std::to_string(r + s + l) + "r" + std::to_string(r) + "s" +
-         std::to_string(s) + "l" + std::to_string(l);
+  std::string name = "d";
+  name += std::to_string(r + s + l);
+  name += 'r';
+  name += std::to_string(r);
+  name += 's';
+  name += std::to_string(s);
+  name += 'l';
+  name += std::to_string(l);
+  return name;
 }
 
 }  // namespace

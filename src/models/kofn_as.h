@@ -10,6 +10,13 @@
 // and breaks any product form.  The full chain has 3^n states: n = 11
 // already gives 177,147 states and n = 13 gives 1.6 million, exactly
 // the regime the sparse Krylov engine (linalg/krylov.h) exists for.
+//
+// The nodes are not exchangeable: busy crews go to the down nodes of
+// lowest index (head-of-line), so *which* nodes are down decides
+// which ones are being repaired.  The chain therefore does not reduce
+// to an O(n^2) chain over node counts; its coarsest ordinary lumping
+// (ctmc::coarsest_ordinary_lumping) keeps 486 of 729 states at n = 6
+// and 4,374 of 6,561 at n = 8.
 #pragma once
 
 #include <cstddef>

@@ -1,19 +1,32 @@
 #include "serve/request.h"
 
+#include <array>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 
 namespace rascal::serve {
 
 namespace {
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
+// Request fields; bit `1 << field` marks one as seen.
+enum Field : unsigned {
+  kModel,
+  kId,
+  kSet,
+  kMethod,
+  kPrecond,
+  kSparseThreshold,
+  kMaxIterations,
+  kGmresRestart,
+  kOutputs,
+  kFieldCount,  // an unknown key
+};
+constexpr std::array<std::string_view, kFieldCount> kFieldNames = {
+    "model",          "id",           "set",
+    "method",         "precond",      "sparse_threshold",
+    "max_iterations", "gmres_restart", "outputs"};
 
 // Minimal recursive-descent reader for the one-line request objects.
 // Deliberately strict: no escape sequences beyond the JSON basics, no
@@ -24,24 +37,26 @@ class RequestReader {
 
   Request parse() {
     Request request;
-    bool has_model = false;
-    bool has_outputs = false;
     expect('{');
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
     } else {
       while (true) {
-        const std::string key = parse_string();
+        const std::string_view key = parse_string();
+        unsigned field = 0;
+        while (field < kFieldCount && kFieldNames[field] != key) ++field;
         // Duplicate keys are hostile input: JSON leaves their meaning
         // undefined, and "last one wins" would let an attacker smuggle
-        // a second "model" past a prefix-scanning auditor.
-        for (const std::string& prior : seen_keys_) {
-          if (prior == key) fail("duplicate field '" + key + "'");
+        // a second "model" past a prefix-scanning auditor.  (An
+        // unknown key is rejected at its first occurrence.)
+        if (field != kFieldCount) {
+          if ((seen_ & (1U << field)) != 0) fail("duplicate field '", key, "'");
+          seen_ |= 1U << field;
         }
-        seen_keys_.push_back(key);
         expect(':');
-        parse_field(key, request, has_model, has_outputs);
+        if (field == kFieldCount) fail("unknown field '", key, "'");
+        parse_field(static_cast<Field>(field), request);
         skip_whitespace();
         if (peek() == ',') {
           ++pos_;
@@ -53,14 +68,23 @@ class RequestReader {
     }
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing content after request object");
-    if (!has_model) fail("request is missing the \"model\" field");
+    if ((seen_ & (1U << kModel)) == 0) {
+      fail("request is missing the \"model\" field");
+    }
     return request;
   }
 
  private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw RequestError("request, offset " + std::to_string(pos_) + ": " +
-                       message);
+  // Throws "request, offset <pos>: <what><name><tail>".
+  [[noreturn]] void fail(std::string_view what, std::string_view name = {},
+                         std::string_view tail = {}) const {
+    std::string message = "request, offset ";
+    message += std::to_string(pos_);
+    message += ": ";
+    message += what;
+    message += name;
+    message += tail;
+    throw RequestError(message);
   }
 
   [[nodiscard]] char peek() const {
@@ -77,16 +101,21 @@ class RequestReader {
 
   void expect(char c) {
     skip_whitespace();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
+    if (peek() != c) fail("expected '", std::string_view(&c, 1), "'");
     ++pos_;
   }
 
-  std::string parse_string() {
+  // Returns the decoded string: a view into the line, or into
+  // `unescaped_` when it holds escapes.  Valid until the next call.
+  std::string_view parse_string() {
     expect('"');
-    std::string out;
+    const std::size_t begin = pos_;
+    bool escaped = false;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_];
       if (c == '\\') {
+        if (!escaped) unescaped_.assign(text_, begin, pos_ - begin);
+        escaped = true;
         ++pos_;
         if (pos_ >= text_.size()) fail("unterminated escape");
         switch (text_[pos_]) {
@@ -99,12 +128,13 @@ class RequestReader {
           default: fail("unsupported escape sequence");
         }
       }
-      out += c;
+      if (escaped) unescaped_ += c;
       ++pos_;
     }
     if (pos_ >= text_.size()) fail("unterminated string");
     ++pos_;  // closing quote
-    return out;
+    if (escaped) return unescaped_;
+    return std::string_view(text_).substr(begin, pos_ - 1 - begin);
   }
 
   double parse_finite_number() {
@@ -118,10 +148,10 @@ class RequestReader {
     return value;
   }
 
-  std::size_t parse_count(const std::string& field) {
+  std::size_t parse_count(Field field) {
     const double value = parse_finite_number();
     if (value < 0.0 || value != std::floor(value)) {
-      fail("field \"" + field + "\" must be a non-negative integer");
+      fail("field \"", kFieldNames[field], "\" must be a non-negative integer");
     }
     return static_cast<std::size_t>(value);
   }
@@ -134,7 +164,7 @@ class RequestReader {
       return;
     }
     while (true) {
-      const std::string name = parse_string();
+      const std::string name(parse_string());
       if (name.empty()) fail("empty parameter name in \"set\"");
       expect(':');
       request.overrides.set(name, parse_finite_number());
@@ -154,9 +184,9 @@ class RequestReader {
     skip_whitespace();
     if (peek() == ']') fail("\"outputs\" must name at least one metric");
     while (true) {
-      const std::string name = parse_string();
+      const std::string_view name = parse_string();
       OutputKind kind{};
-      if (!parse_output(name, kind)) fail("unknown output '" + name + "'");
+      if (!parse_output(name, kind)) fail("unknown output '", name, "'");
       request.outputs.push_back(kind);
       skip_whitespace();
       if (peek() == ',') {
@@ -168,44 +198,96 @@ class RequestReader {
     }
   }
 
-  void parse_field(const std::string& key, Request& request, bool& has_model,
-                   bool& has_outputs) {
-    if (key == "model") {
-      request.model_path = parse_string();
-      if (request.model_path.empty()) fail("\"model\" must not be empty");
-      has_model = true;
-    } else if (key == "id") {
-      request.id = parse_string();
-    } else if (key == "set") {
-      parse_overrides(request);
-    } else if (key == "method") {
-      const std::string name = parse_string();
-      if (!parse_method(name, request.method)) {
-        fail("unknown method '" + name + "'");
+  void parse_field(Field field, Request& request) {
+    switch (field) {
+      case kModel:
+        request.model_path = parse_string();
+        if (request.model_path.empty()) fail("\"model\" must not be empty");
+        break;
+      case kId: request.id = parse_string(); break;
+      case kSet: parse_overrides(request); break;
+      case kMethod: {
+        const std::string_view name = parse_string();
+        if (!parse_method(name, request.method)) {
+          fail("unknown method '", name, "'");
+        }
+        break;
       }
-    } else if (key == "precond") {
-      const std::string name = parse_string();
-      if (!parse_precond(name, request.precond)) {
-        fail("unknown preconditioner '" + name + "'");
+      case kPrecond: {
+        const std::string_view name = parse_string();
+        if (!parse_precond(name, request.precond)) {
+          fail("unknown preconditioner '", name, "'");
+        }
+        break;
       }
-    } else if (key == "sparse_threshold") {
-      request.sparse_threshold = parse_count(key);
-    } else if (key == "max_iterations") {
-      request.max_iterations = parse_count(key);
-    } else if (key == "gmres_restart") {
-      request.gmres_restart = parse_count(key);
-    } else if (key == "outputs") {
-      parse_outputs(request);
-      has_outputs = true;
-    } else {
-      fail("unknown field '" + key + "'");
+      case kSparseThreshold:
+        request.sparse_threshold = parse_count(field);
+        break;
+      case kMaxIterations: request.max_iterations = parse_count(field); break;
+      case kGmresRestart: request.gmres_restart = parse_count(field); break;
+      case kOutputs: parse_outputs(request); break;
+      case kFieldCount: break;  // rejected by the caller
     }
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
-  std::vector<std::string> seen_keys_;
+  unsigned seen_ = 0;      // bit per Field already parsed
+  std::string unescaped_;  // decoded text of the last escaped string
 };
+
+// Appends std::to_chars(value, format...): an index, or a double.
+template <typename T, typename... Format>
+void append_to_chars(std::string& out, T value, Format... format) {
+  char buffer[32];  // 20 digits of 2^64 - 1; 24 chars of -d.16de-308
+  const char* end =
+      std::to_chars(buffer, buffer + sizeof buffer, value, format...).ptr;
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
+}
+
+// Appends ,"name":"<value>" with the value JSON-escaped (quotes,
+// backslashes, control characters).
+void append_field(std::string& out, std::string_view name,
+                  std::string_view value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += ",\"";
+  out += name;
+  out += "\":\"";
+  for (const char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xF];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  out += '"';
+}
+
+// Starts a record with its schema, index and (non-empty) id, reserving
+// room for `extra` more bytes.
+std::string record_head(std::size_t index, const std::string& id,
+                        std::size_t extra) {
+  std::string out;
+  out.reserve(64 + id.size() + extra);
+  out += "{\"schema\":\"";
+  out += kResultSchema;
+  out += "\",\"index\":";
+  append_to_chars(out, index);
+  if (!id.empty()) append_field(out, "id", id);
+  return out;
+}
 
 }  // namespace
 
@@ -223,7 +305,7 @@ const char* to_string(OutputKind kind) {
   return "unknown";
 }
 
-bool parse_output(const std::string& name, OutputKind& out) {
+bool parse_output(std::string_view name, OutputKind& out) {
   if (name == "availability") out = OutputKind::kAvailability;
   else if (name == "unavailability") out = OutputKind::kUnavailability;
   else if (name == "downtime") out = OutputKind::kDowntime;
@@ -236,7 +318,7 @@ bool parse_output(const std::string& name, OutputKind& out) {
   return true;
 }
 
-bool parse_method(const std::string& name, ctmc::SteadyStateMethod& out) {
+bool parse_method(std::string_view name, ctmc::SteadyStateMethod& out) {
   if (name == "gth") out = ctmc::SteadyStateMethod::kGth;
   else if (name == "lu") out = ctmc::SteadyStateMethod::kLu;
   else if (name == "power") out = ctmc::SteadyStateMethod::kPower;
@@ -247,7 +329,7 @@ bool parse_method(const std::string& name, ctmc::SteadyStateMethod& out) {
   return true;
 }
 
-bool parse_precond(const std::string& name, linalg::PrecondKind& out) {
+bool parse_precond(std::string_view name, linalg::PrecondKind& out) {
   if (name == "none") out = linalg::PrecondKind::kNone;
   else if (name == "jacobi") out = linalg::PrecondKind::kJacobi;
   else if (name == "ilu0") out = linalg::PrecondKind::kIlu0;
@@ -259,73 +341,47 @@ Request parse_request(const std::string& line) {
   return RequestReader(line).parse();
 }
 
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_result_line(std::size_t index, const Request& request,
                                const std::vector<double>& values,
                                const std::string& fallback) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kResultSchema << "\",\"index\":" << index;
-  if (!request.id.empty()) {
-    os << ",\"id\":\"" << escape_json(request.id) << "\"";
-  }
-  os << ",\"status\":\"ok\"";
-  if (!fallback.empty()) {
-    os << ",\"fallback\":\"" << escape_json(fallback) << "\"";
-  }
-  os << ",\"results\":{";
+  std::string out = record_head(index, request.id,
+                                48 + fallback.size() +
+                                    48 * request.outputs.size());
+  out += ",\"status\":\"ok\"";
+  if (!fallback.empty()) append_field(out, "fallback", fallback);
+  out += ",\"results\":{";
   for (std::size_t k = 0; k < request.outputs.size(); ++k) {
-    if (k > 0) os << ",";
-    os << "\"" << to_string(request.outputs[k])
-       << "\":" << format_double(values.at(k));
+    if (k > 0) out += ',';
+    out += '"';
+    out += to_string(request.outputs[k]);
+    out += "\":";
+    // General format at precision 17 is byte-identical to %.17g: the
+    // value round-trips exactly and the text never depends on locale.
+    append_to_chars(out, values.at(k), std::chars_format::general, 17);
   }
-  os << "}}";
-  return os.str();
+  out += "}}";
+  return out;
 }
 
 std::string render_error_line(std::size_t index, const std::string& id,
                               const std::string& error,
                               const std::string& error_class) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kResultSchema << "\",\"index\":" << index;
-  if (!id.empty()) os << ",\"id\":\"" << escape_json(id) << "\"";
-  os << ",\"status\":\"error\"";
-  if (!error_class.empty()) {
-    os << ",\"class\":\"" << escape_json(error_class) << "\"";
-  }
-  os << ",\"error\":\"" << escape_json(error) << "\"}";
-  return os.str();
+  std::string out =
+      record_head(index, id, 48 + error.size() + error_class.size());
+  out += ",\"status\":\"error\"";
+  if (!error_class.empty()) append_field(out, "class", error_class);
+  append_field(out, "error", error);
+  out += '}';
+  return out;
 }
 
 std::string render_shed_line(std::size_t index, const std::string& id,
                              const std::string& reason) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kResultSchema << "\",\"index\":" << index;
-  if (!id.empty()) os << ",\"id\":\"" << escape_json(id) << "\"";
-  os << ",\"status\":\"shed\",\"reason\":\"" << escape_json(reason) << "\"}";
-  return os.str();
+  std::string out = record_head(index, id, 48 + reason.size());
+  out += ",\"status\":\"shed\"";
+  append_field(out, "reason", reason);
+  out += '}';
+  return out;
 }
 
 }  // namespace rascal::serve

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ctmc/steady_state.h"
@@ -53,10 +54,10 @@ enum class OutputKind {
 };
 
 [[nodiscard]] const char* to_string(OutputKind kind);
-[[nodiscard]] bool parse_output(const std::string& name, OutputKind& out);
-[[nodiscard]] bool parse_method(const std::string& name,
+[[nodiscard]] bool parse_output(std::string_view name, OutputKind& out);
+[[nodiscard]] bool parse_method(std::string_view name,
                                 ctmc::SteadyStateMethod& out);
-[[nodiscard]] bool parse_precond(const std::string& name,
+[[nodiscard]] bool parse_precond(std::string_view name,
                                  linalg::PrecondKind& out);
 
 /// One parsed solve request.
@@ -80,16 +81,13 @@ struct Request {
 /// debuggable.
 [[nodiscard]] Request parse_request(const std::string& line);
 
-/// JSON string escaping for ids and error messages embedded in result
-/// records (quotes, backslashes, control characters).
-[[nodiscard]] std::string escape_json(const std::string& text);
-
 /// Schema tag stamped into every result record.  Bump when the record
 /// shape changes so downstream query tooling can dispatch.
 inline constexpr const char* kResultSchema = "rascal.serve.v1";
 
 /// Renders the result record of a successful solve: values are
-/// printed with %.17g so records round-trip exactly and rendering is
+/// printed as %.17g prints them (std::to_chars, general format,
+/// precision 17) so records round-trip exactly and rendering is
 /// deterministic (byte-identical across thread counts and cache
 /// temperature).  `values` aligns with `request.outputs`.  A
 /// non-empty `fallback` annotates a request the supervisor recovered

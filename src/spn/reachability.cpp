@@ -171,7 +171,10 @@ class Explorer {
       // format_marking is injective for distinct markings, but guard
       // against pathological place names colliding.
       const auto count = ++name_counts[name];
-      if (count > 1) name += "#" + std::to_string(count);
+      if (count > 1) {
+        name += '#';
+        name += std::to_string(count);
+      }
       states.push_back({std::move(name), reward_(m)});
     }
     return ctmc::Ctmc(states, transitions_);

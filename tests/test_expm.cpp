@@ -99,7 +99,7 @@ TEST_P(ExpmVsUniformization, AgreeOnRandomGenerators) {
   std::uniform_real_distribution<double> dist(0.05, 2.0);
   ctmc::CtmcBuilder b;
   for (std::size_t i = 0; i < n; ++i) {
-    b.state("s" + std::to_string(i), 1.0);
+    b.state(std::string("s").append(std::to_string(i)), 1.0);
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {

@@ -29,6 +29,7 @@
 #include "models/upgrade.h"
 #include "models/web_tier.h"
 #include "report/diagnostics.h"
+#include "unique_temp_path.h"
 
 namespace rascal::lint {
 namespace {
@@ -452,7 +453,8 @@ TEST(LintModelFile, ParamsUsedByOtherParamsAreNotUnused) {
 
 TEST(LintModelFile, LoadModelFailsFastOnErrors) {
   // Written through a temp file because load_model wants a path.
-  const std::string path = ::testing::TempDir() + "/broken_lint.rasc";
+  const std::string path =
+      testing_support::unique_temp_path("broken_lint.rasc");
   {
     std::ofstream out(path);
     out << "state Up reward 1\nstate Down reward 0\n"

@@ -37,11 +37,11 @@ TEST(ReportGolden, CsvRendersByteExact) {
 }
 
 TEST(ReportGolden, LinePlotRendersByteExact) {
-  PlotOptions options;
-  options.title = "downtime vs n";
-  options.x_label = "n";
-  options.width = 24;
-  options.height = 6;
+  const PlotOptions options{.width = 24,
+                            .height = 6,
+                            .title = "downtime vs n",
+                            .x_label = "n",
+                            .y_label = ""};
   const std::string expected =
       "downtime vs n\n"
       "           4 |*                       \n"

@@ -13,12 +13,13 @@
 
 #include "resil/chaos.h"
 #include "resil/resil.h"
+#include "unique_temp_path.h"
 
 namespace rascal::resil {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "rascal_resil_" + name;
+  return testing_support::unique_temp_path("rascal_resil_" + name);
 }
 
 std::string slurp(const std::string& path) {

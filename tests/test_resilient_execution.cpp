@@ -27,12 +27,13 @@
 #include "resil/chaos.h"
 #include "resil/resil.h"
 #include "sim/jsas_simulator.h"
+#include "unique_temp_path.h"
 
 namespace rascal {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "rascal_resilexec_" + name;
+  return testing_support::unique_temp_path("rascal_resilexec_" + name);
 }
 
 // Clears the chaos spec even when a test fails mid-way, so later

@@ -5,10 +5,22 @@
 // error records and cold/warm cache bit-identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "resil/chaos.h"
@@ -16,6 +28,7 @@
 #include "serve/request.h"
 #include "serve/sink.h"
 #include "serve/supervise.h"
+#include "unique_temp_path.h"
 
 namespace rascal::serve {
 namespace {
@@ -88,6 +101,80 @@ TEST(ServeRequest, ErrorsCarryByteOffsets) {
   }
 }
 
+TEST(ServeRequest, DecodesEscapesBeforeAndAfterPlainText) {
+  // Strings without escapes are read in place, escaped ones are decoded
+  // into a buffer the next string reuses: each field must keep its own
+  // text whichever kind came before it.
+  const Request request = parse_request(
+      R"({"id": "\"a\\b\/c\nd\te\r", "model": "dir\/m.rasc",)"
+      R"( "set": {"\tX": 1, "Y\\": 2, "plain": 3, "p\/q": 4},)"
+      R"( "method": "gmres", "outputs": ["mttf", "availability"]})");
+  EXPECT_EQ(request.id, "\"a\\b/c\nd\te\r");
+  EXPECT_EQ(request.model_path, "dir/m.rasc");
+  EXPECT_DOUBLE_EQ(request.overrides.get("\tX"), 1.0);
+  EXPECT_DOUBLE_EQ(request.overrides.get("Y\\"), 2.0);
+  EXPECT_DOUBLE_EQ(request.overrides.get("plain"), 3.0);
+  EXPECT_DOUBLE_EQ(request.overrides.get("p/q"), 4.0);
+  EXPECT_EQ(request.method, ctmc::SteadyStateMethod::kGmres);
+  ASSERT_EQ(request.outputs.size(), 2u);
+  EXPECT_EQ(request.outputs[0], OutputKind::kMttf);
+  EXPECT_EQ(request.outputs[1], OutputKind::kAvailability);
+
+  const Request plain_after_escaped =
+      parse_request(R"({"model": "a\nb", "id": "x"})");
+  EXPECT_EQ(plain_after_escaped.model_path, "a\nb");
+  EXPECT_EQ(plain_after_escaped.id, "x");
+}
+
+TEST(ServeRequest, ErrorMessagesAndOffsetsAreExact) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"model": "m.rasc", "model": "x"})",
+       "request, offset 27: duplicate field 'model'"},
+      {R"({"id": "a\nb", "model": "m", "id": "c"})",
+       "request, offset 33: duplicate field 'id'"},
+      {R"({"model": "m.rasc", "bogus": 1})",
+       "request, offset 28: unknown field 'bogus'"},
+      {R"({"model": "m.rasc", "b\"og\\us": 1})",
+       "request, offset 32: unknown field 'b\"og\\us'"},
+      {R"({"model": "m.rasc", "outputs": ["upness"]})",
+       "request, offset 40: unknown output 'upness'"},
+      {R"({"model": "m.rasc", "outputs": ["mttf", "avail\/ability"]})",
+       "request, offset 56: unknown output 'avail/ability'"},
+      {R"({"model": "m.rasc", "outputs": ["avail\u0061bility"]})",
+       "request, offset 39: unsupported escape sequence"},
+      {R"({"model": "m.rasc", "method": "q\tr"})",
+       "request, offset 36: unknown method 'q\tr'"},
+      {R"({"model": "m.rasc", "precond": "amg"})",
+       "request, offset 36: unknown preconditioner 'amg'"},
+      {R"({"model" "m.rasc"})", "request, offset 9: expected ':'"},
+      {R"({"model": "m.rasc", "max_iterations": 1.5})",
+       "request, offset 41: field \"max_iterations\" must be a "
+       "non-negative integer"},
+      {R"({"model": "m.rasc", "gmres_restart": -2})",
+       "request, offset 39: field \"gmres_restart\" must be a "
+       "non-negative integer"},
+      {R"({"model": "m.rasc", "set": {"FIR": 1e999}})",
+       "request, offset 40: non-finite number"},
+      {R"({"model": "m.rasc", "set": {"FIR": }})",
+       "request, offset 35: expected a number"},
+      {R"({"model": "m.rasc\)", "request, offset 18: unterminated escape"},
+      {R"({"model": "m.rasc)", "request, offset 17: unterminated string"},
+      {R"({"model": ""})", "request, offset 12: \"model\" must not be empty"},
+      {R"({"set": {}})",
+       "request, offset 11: request is missing the \"model\" field"},
+      {R"({"model": "m"} x)",
+       "request, offset 15: trailing content after request object"},
+  };
+  for (const auto& [line, message] : cases) {
+    try {
+      (void)parse_request(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const RequestError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << "line: " << line;
+    }
+  }
+}
+
 // ---- record rendering -------------------------------------------------
 
 TEST(ServeRender, ResultLineIsDeterministicJson) {
@@ -107,6 +194,70 @@ TEST(ServeRender, ErrorLineEscapesMessage) {
   EXPECT_EQ(line,
             "{\"schema\":\"rascal.serve.v1\",\"index\":0,\"id\":\"id\\\"x\","
             "\"status\":\"error\",\"error\":\"bad \\\"input\\\"\\nline2\"}");
+}
+
+TEST(ServeRender, ValuesMatchPrintfG17ByteForByte) {
+  // Records print values with std::to_chars (general, precision 17);
+  // they must stay byte-identical to the historic "%.17g" text,
+  // including the exponent switch points, subnormals and non-finites.
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      DBL_MIN,
+      DBL_MAX,
+      -DBL_MAX,
+      1.0 / 3.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (const double edge : {1e-5, 1e-4, 1e16, 1e17}) {
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, HUGE_VAL));
+    values.push_back(-edge);
+  }
+  std::mt19937_64 bits(20040628);
+  for (int k = 0; k < 200000; ++k) {
+    const std::uint64_t word = bits();
+    double v = 0.0;
+    std::memcpy(&v, &word, sizeof v);
+    values.push_back(v);
+  }
+  Request request;
+  request.outputs = {OutputKind::kMtbf};
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%.17g", v);
+    const std::string line = render_result_line(0, request, {v});
+    const std::string want = "{\"schema\":\"rascal.serve.v1\",\"index\":0,"
+                             "\"status\":\"ok\",\"results\":{\"mtbf\":" +
+                             std::string(expected) + "}}";
+    if (line != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "value " << expected << " rendered as " << line;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(ServeRender, ShedAndClassedErrorLinesAreByteExact) {
+  EXPECT_EQ(render_shed_line(18446744073709551615ULL, "q\x01", "queue full"),
+            "{\"schema\":\"rascal.serve.v1\",\"index\":18446744073709551615,"
+            "\"id\":\"q\\u0001\",\"status\":\"shed\",\"reason\":\"queue "
+            "full\"}");
+  EXPECT_EQ(render_error_line(4, "", "late\tline\r", "lost"),
+            "{\"schema\":\"rascal.serve.v1\",\"index\":4,\"status\":\"error\","
+            "\"class\":\"lost\",\"error\":\"late\\tline\\r\"}");
+  Request request;
+  request.outputs = {OutputKind::kAvailability};
+  EXPECT_EQ(render_result_line(0, request, {1.0}, "precond:\"jacobi\""),
+            "{\"schema\":\"rascal.serve.v1\",\"index\":0,\"status\":\"ok\","
+            "\"fallback\":\"precond:\\\"jacobi\\\"\",\"results\":{"
+            "\"availability\":1}}");
 }
 
 // ---- results sink -----------------------------------------------------
@@ -181,12 +332,163 @@ TEST(ServeSink, ChaosWriteFailureIsCountedNotSilent) {
   EXPECT_EQ(out.str(), "zero\ntwo\n");
 }
 
+// Pushes every index of `order` from `producers` threads, thread t
+// taking positions t, t + producers, ... of the order.
+void push_concurrently(ResultsSink& sink, const std::vector<std::size_t>& order,
+                       std::size_t producers) {
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < producers; ++t) {
+    threads.emplace_back([&sink, &order, t, producers] {
+      for (std::size_t k = t; k < order.size(); k += producers) {
+        sink.push(order[k], std::to_string(order[k]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+std::vector<std::size_t> shuffled_indices(std::size_t n, std::uint64_t seed) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::mt19937_64 rng(seed);
+  std::shuffle(order.begin(), order.end(), rng);
+  return order;
+}
+
+std::string numbered_lines(std::size_t n, std::size_t skip = SIZE_MAX) {
+  std::string text;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != skip) text += std::to_string(i) + "\n";
+  }
+  return text;
+}
+
+// A string stream that flags overlapping writes (the sink lets one
+// drainer write at a time) and yields inside each write to widen the
+// window in which the sink has dropped its lock.
+class ExclusiveStringBuf : public std::stringbuf {
+ public:
+  [[nodiscard]] bool overlapped() const { return overlapped_.load(); }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (writers_.fetch_add(1) != 0) overlapped_ = true;
+    std::this_thread::yield();
+    const std::streamsize written = std::stringbuf::xsputn(s, n);
+    writers_.fetch_sub(1);
+    return written;
+  }
+
+ private:
+  std::atomic<int> writers_{0};
+  std::atomic<bool> overlapped_{false};
+};
+
+TEST(ServeSink, ConcurrentProducersWriteInIndexOrder) {
+  // Shuffled orders buffer deep; the ascending order has the producers
+  // racing to push the next index while another one is writing.
+  std::vector<std::vector<std::size_t>> orders;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    orders.push_back(shuffled_indices(3000, seed));
+  }
+  orders.emplace_back(20000);
+  std::iota(orders.back().begin(), orders.back().end(), std::size_t{0});
+  for (const std::vector<std::size_t>& order : orders) {
+    ExclusiveStringBuf buffer;
+    std::ostream out(&buffer);
+    ResultsSink sink(out);
+    push_concurrently(sink, order, 4);
+    EXPECT_EQ(sink.close(), order.size());
+    EXPECT_EQ(sink.gaps(), 0u);
+    EXPECT_EQ(sink.write_failures(), 0u);
+    EXPECT_FALSE(buffer.overlapped());
+    EXPECT_EQ(buffer.str(), numbered_lines(order.size()));
+  }
+}
+
+TEST(ServeSink, ChaosWriteFailureDropsTheSameIndexWithManyProducers) {
+  // Chaos occurrences tick in index order whoever drains, so
+  // sink-write-fail@k refuses record k at any producer count.
+  for (const std::size_t k : {0u, 7u, 499u}) {
+    for (const std::size_t producers : {1u, 3u, 6u}) {
+      resil::chaos::configure("sink-write-fail@" + std::to_string(k));
+      std::ostringstream out;
+      ResultsSink sink(out);
+      push_concurrently(sink, shuffled_indices(500, k + producers), producers);
+      EXPECT_EQ(sink.close(), 500u);
+      EXPECT_EQ(sink.write_failures(), 1u);
+      resil::chaos::configure("");
+      EXPECT_EQ(out.str(), numbered_lines(500, k))
+          << "k " << k << ", " << producers << " producers";
+    }
+  }
+}
+
+TEST(ServeSink, CloseAfterConcurrentPushesFillsGapsOnTheCallingThread) {
+  // Indices 10 and 11 never arrive (an abandoned chunk) and 190..199
+  // are trailing: close() fills the interior holes only, and a push
+  // after close is dropped.
+  std::vector<std::size_t> order;
+  for (const std::size_t i : shuffled_indices(190, 9)) {
+    if (i != 10 && i != 11) order.push_back(i);
+  }
+  std::ostringstream out;
+  ResultsSink sink(out);
+  sink.set_gap_filler([](std::size_t index) {
+    return "gap:" + std::to_string(index);
+  });
+  push_concurrently(sink, order, 5);
+  EXPECT_EQ(sink.written(), 10u);  // the prefix below the first hole
+  EXPECT_EQ(sink.close(), 190u);
+  sink.push(190, "late");
+  EXPECT_EQ(sink.close(), 190u);
+  EXPECT_EQ(sink.gaps(), 2u);
+  std::string expected = numbered_lines(10) + "gap:10\ngap:11\n";
+  for (std::size_t i = 12; i < 190; ++i) expected += std::to_string(i) + "\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(ServeSink, CloseRacingPushesKeepsOneWriterAndIndexOrder) {
+  // close() lands while producers are still pushing (and one of them
+  // may be mid-drain): every record that is written appears once, in
+  // index order, with no overlapping stream writes; the rest are
+  // dropped or gap-filled, never interleaved.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    ExclusiveStringBuf buffer;
+    std::ostream out(&buffer);
+    ResultsSink sink(out);
+    sink.set_gap_filler([](std::size_t index) {
+      return "gap:" + std::to_string(index);
+    });
+    const std::vector<std::size_t> order = shuffled_indices(4000, seed);
+    std::thread closer([&sink, seed] {
+      std::this_thread::sleep_for(std::chrono::microseconds(200 * seed));
+      sink.close();
+    });
+    push_concurrently(sink, order, 4);
+    closer.join();
+    EXPECT_FALSE(buffer.overlapped());
+    std::istringstream lines(buffer.str());
+    std::string line;
+    std::size_t expected = 0;
+    while (std::getline(lines, line)) {
+      const std::string want = std::to_string(expected);
+      EXPECT_TRUE(line == want || line == "gap:" + want)
+          << "line " << expected << " reads '" << line << "'";
+      ++expected;
+    }
+    EXPECT_EQ(sink.close(), expected);
+    EXPECT_EQ(sink.written(), expected);
+  }
+}
+
 // ---- batch runner -----------------------------------------------------
 
 class ServeBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = testing::TempDir() + "serve_batch_model.rasc";
+    model_path_ =
+        testing_support::unique_temp_path("serve_batch_model.rasc");
     std::ofstream model(model_path_);
     model << "model test pair\n"
              "param La 0.002\n"

@@ -34,7 +34,8 @@ TEST_P(AllMethods, RandomChainSatisfiesBalance) {
   CtmcBuilder b;
   const std::size_t n = 12;
   for (std::size_t i = 0; i < n; ++i) {
-    b.state("s" + std::to_string(i), i % 3 == 0 ? 0.0 : 1.0);
+    b.state(std::string("s").append(std::to_string(i)),
+            i % 3 == 0 ? 0.0 : 1.0);
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -101,7 +102,8 @@ TEST_P(StiffRandomChains, DirectSolversAgreeToRelativePrecision) {
   std::uniform_real_distribution<double> magnitude(-7.0, 3.0);
   CtmcBuilder b;
   for (std::size_t i = 0; i < n; ++i) {
-    b.state("s" + std::to_string(i), i % 4 == 0 ? 0.0 : 1.0);
+    b.state(std::string("s").append(std::to_string(i)),
+            i % 4 == 0 ? 0.0 : 1.0);
   }
   // Ring for irreducibility plus random chords, all with wild rates.
   for (std::size_t i = 0; i < n; ++i) {
