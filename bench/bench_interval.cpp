@@ -24,7 +24,9 @@ int main() {
   const auto result =
       models::solve_jsas(models::JsasConfig::config1(),
                          models::default_parameters());
-  const auto& params = result.detail.effective_params;
+  expr::ParameterSet params =
+      models::default_parameters().with(result.detail.exports);
+  params.set("N_pair", 2.0);
 
   ctmc::SymbolicCtmc root;
   root.state("Ok", 1.0);

@@ -102,6 +102,17 @@ void BM_JsasSolveCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_JsasSolveCacheHit);
 
+// One bind of the two-instance AS submodel from a ParameterSet: slot
+// resolution, rate evaluation and chain assembly.
+void BM_SymbolicBind(benchmark::State& state) {
+  const ctmc::SymbolicCtmc model = models::app_server_two_instance_model();
+  const expr::ParameterSet params = models::default_parameters();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.bind(params));
+  }
+}
+BENCHMARK(BM_SymbolicBind);
+
 // Iterative solvers on a *mild* chain (they do not converge in
 // reasonable time on the stiff AS chain — that observation is the
 // ablation result; see the accuracy benchmark below).

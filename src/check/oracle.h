@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "ctmc/builder.h"
 #include "ctmc/ctmc.h"
+#include "expr/parameter_set.h"
 #include "linalg/matrix.h"
 #include "sim/ctmc_simulator.h"
 
@@ -122,5 +124,25 @@ struct OracleOptions {
 /// sparse descents never densifying).
 [[nodiscard]] OracleReport check_retry_consensus(
     const ctmc::Ctmc& chain, const OracleOptions& options = {});
+
+/// Bit-identity gate for compiled models (ctmc/compiled.h): binding
+/// `model` against `params` through its compiled slot program must
+/// reproduce — tolerance zero — a reference chain assembled the
+/// CtmcBuilder way: every definition and rate evaluated on its own
+/// (Expression::evaluate), zero rates dropped, and Ctmc's constructor
+/// sorting and merging parallel transitions.  Compared: every merged
+/// transition (endpoints and rate bits), exit rate and reward; the
+/// steady-state validation verdict and its diagnostics, fresh and
+/// served from the pattern memo; the GTH solve, direct and through a
+/// SolveCache (cold and hit); and the solve-cache key, which must
+/// repeat on a rebind and change when any rate parameter moves by one
+/// ulp.  When the reference bind throws, the compiled bind must throw
+/// the same exception type with the same message.
+[[nodiscard]] OracleReport check_compiled_consensus(
+    const ctmc::SymbolicCtmc& model, const expr::ParameterSet& params);
+
+/// The reference bind check_compiled_consensus compares against.
+[[nodiscard]] ctmc::Ctmc reference_bind(const ctmc::SymbolicCtmc& model,
+                                        const expr::ParameterSet& params);
 
 }  // namespace rascal::check

@@ -1,8 +1,10 @@
 #include "check/random_model.h"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace rascal::check {
@@ -266,6 +268,82 @@ RawModel inject_fault(const RawModel& model, ModelFault fault,
       break;
   }
   return out;
+}
+
+std::string random_model_file(stats::RandomEngine& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_index(n));
+  };
+  const auto number = [](double v) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", v);
+    return std::string(buffer);
+  };
+  // Appends piecewise: GCC 12's -Wrestrict misfires on
+  // "literal" + std::string temporaries in Release builds.
+  std::string text = "model random\n";
+  const auto line = [&text](std::initializer_list<std::string_view> parts) {
+    for (const std::string_view part : parts) text.append(part);
+    text.push_back('\n');
+  };
+  const std::size_t bases = 3 + pick(4);
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < bases; ++i) {
+    names.push_back(std::string("p").append(std::to_string(i)));
+    line({"param ", names.back(), " ", number(rng.uniform(0.05, 5.0))});
+  }
+  line({"param z 0"});
+  const std::size_t derived = 1 + pick(3);
+  for (std::size_t i = 0; i < derived; ++i) {
+    const std::string a = names[pick(names.size())];
+    const std::string b = names[pick(names.size())];
+    std::string value;
+    switch (pick(4)) {
+      case 0: value.append(a).append("+").append(b); break;
+      case 1: value.append(a).append("*").append(b); break;
+      case 2: value.append(a).append("/(1+").append(b).append(")"); break;
+      default:
+        value.append(a).append("+").append(a).append("-0.5*").append(b)
+            .append("+").append(b);
+        break;
+    }
+    names.push_back(std::string("d").append(std::to_string(i)));
+    line({"param ", names.back(), " ", value});
+  }
+  const bool symbolic_reward = pick(3) == 0;
+  if (symbolic_reward) line({"param w ", number(rng.uniform(0.1, 0.9))});
+
+  const std::size_t n = 3 + pick(5);
+  for (std::size_t s = 0; s < n; ++s) {
+    std::string reward = s == 0 ? "1" : (pick(2) == 0 ? "0" : "1");
+    if (symbolic_reward && s == 1) reward = "w";
+    line({"state S", std::to_string(s), " reward ", reward});
+  }
+  const auto rate = [&](std::size_t from, std::size_t to) {
+    const std::string a = names[pick(names.size())];
+    const std::string b = names[pick(names.size())];
+    std::string formula;
+    switch (pick(4)) {
+      case 0: formula = a; break;
+      case 1: formula.append("2*").append(a).append("*").append(b); break;
+      case 2: formula.append(a).append("/(").append(b).append("+1)"); break;
+      default:
+        formula.append("(").append(a).append("+").append(b).append(")*0.25");
+        break;
+    }
+    line({"rate S", std::to_string(from), " S", std::to_string(to), " ",
+          formula});
+  };
+  for (std::size_t s = 0; s < n; ++s) rate(s, (s + 1) % n);
+  const std::size_t extra = pick(2 * n);
+  for (std::size_t e = 0; e < extra; ++e) {
+    const std::size_t from = pick(n);
+    const std::size_t to = (from + 1 + pick(n - 1)) % n;
+    rate(from, to);
+    if (pick(3) == 0) rate(from, to);  // parallel
+  }
+  line({"rate S0 S", std::to_string(n - 1), " z*", names[0]});
+  return text;
 }
 
 }  // namespace rascal::check

@@ -128,4 +128,13 @@ enum class ModelFault {
 [[nodiscard]] RawModel inject_fault(const RawModel& model, ModelFault fault,
                                     stats::RandomEngine& rng);
 
+/// Random .rasc model file (io/model_file.h syntax) for the compiled
+/// model and override oracles: base parameters with %.17g defaults,
+/// derived parameters over earlier ones (sums, products, quotients),
+/// an irreducible ring of states plus extra and parallel transitions
+/// whose rates read base and derived parameters, one rate scaled by a
+/// base parameter `z` that defaults to 0 (a zero-dropped transition),
+/// and sometimes a parameter-dependent reward.
+[[nodiscard]] std::string random_model_file(stats::RandomEngine& rng);
+
 }  // namespace rascal::check

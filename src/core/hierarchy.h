@@ -7,10 +7,17 @@
 // visible to later submodels and the root.  This is exactly how the
 // paper's Figure 2 references "$Lambda1/$Mu1" evaluated from the
 // "Appl Server" and "HADB Node Pair" subdiagrams.
+//
+// The whole hierarchy compiles once (on first solve) into one slot
+// table shared by every submodel's CompiledCtmc (ctmc/compiled.h):
+// inputs are resolved into slots once per solve, exports are written
+// straight into their slots, and no ParameterSet is copied.
 #pragma once
 
-#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -53,7 +60,7 @@ struct HierarchicalResult {
   std::vector<SubmodelResult> submodels;
   AvailabilityMetrics system;          // metrics of the root model
   ctmc::SteadyState root_steady;
-  expr::ParameterSet effective_params;  // inputs + all exports
+  expr::ParameterSet exports;  // every exported quantity, by name
 };
 
 class HierarchicalModel {
@@ -67,6 +74,11 @@ class HierarchicalModel {
   /// Sets the root (system-level) model.
   HierarchicalModel& set_root(ctmc::SymbolicCtmc root,
                               double up_threshold = kDefaultUpThreshold);
+
+  /// Pins parameter `name` to `value` in every solve, taking
+  /// precedence over the solve() inputs (e.g. a configuration's
+  /// N_pair).
+  HierarchicalModel& fix(std::string name, double value);
 
   /// Solves the hierarchy bottom-up with the given input parameters.
   /// Throws expr::UnknownParameterError when a referenced parameter is
@@ -86,10 +98,22 @@ class HierarchicalModel {
   }
 
  private:
+  struct Compiled;
+  struct Compilation {
+    std::once_flag once;
+    std::shared_ptr<const Compiled> value;  // shared_ptr: Compiled is incomplete here
+  };
+
+  [[nodiscard]] const Compiled& compiled() const;
+  // Any edit invalidates the compiled form.
+  void edited() { compilation_ = std::make_shared<Compilation>(); }
+
   std::vector<Submodel> submodels_;
   ctmc::SymbolicCtmc root_;
   double root_up_threshold_ = kDefaultUpThreshold;
   bool has_root_ = false;
+  std::vector<std::pair<std::string, double>> fixed_;
+  std::shared_ptr<Compilation> compilation_ = std::make_shared<Compilation>();
 };
 
 }  // namespace rascal::core

@@ -1,6 +1,7 @@
 #include "ctmc/builder.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace rascal::ctmc {
@@ -31,8 +32,41 @@ StateId CtmcBuilder::id_of(const std::string& name) const {
 Ctmc CtmcBuilder::build() const { return Ctmc(states_, transitions_); }
 
 StateId SymbolicCtmc::state(std::string name, double reward) {
+  edited();
   states_.push_back({std::move(name), reward});
+  reward_expressions_.emplace_back();
   return states_.size() - 1;
+}
+
+StateId SymbolicCtmc::state(std::string name, const expr::Expression& reward) {
+  if (reward.variables().empty()) {
+    return state(std::move(name), reward.evaluate({}));
+  }
+  const StateId id =
+      state(std::move(name), std::numeric_limits<double>::quiet_NaN());
+  reward_expressions_.back() = reward;
+  return id;
+}
+
+SymbolicCtmc& SymbolicCtmc::define(std::string name, expr::Expression value) {
+  for (const Definition& d : definitions_) {
+    if (d.name == name) {
+      throw std::invalid_argument("SymbolicCtmc: duplicate definition of '" +
+                                  name + "'");
+    }
+    if (d.value.variables().count(name) != 0) {
+      throw std::invalid_argument("SymbolicCtmc: definition of '" + name +
+                                  "' comes after its use in '" + d.name +
+                                  "'");
+    }
+  }
+  if (value.variables().count(name) != 0) {
+    throw std::invalid_argument("SymbolicCtmc: definition of '" + name +
+                                "' refers to itself");
+  }
+  edited();
+  definitions_.push_back({std::move(name), std::move(value)});
+  return *this;
 }
 
 SymbolicCtmc& SymbolicCtmc::rate(const std::string& from,
@@ -44,7 +78,10 @@ SymbolicCtmc& SymbolicCtmc::rate(const std::string& from,
 SymbolicCtmc& SymbolicCtmc::rate(const std::string& from,
                                  const std::string& to,
                                  expr::Expression expression) {
-  transitions_.push_back({id_of(from), id_of(to), std::move(expression)});
+  const StateId f = id_of(from);
+  const StateId t = id_of(to);
+  edited();
+  transitions_.push_back({f, t, std::move(expression)});
   return *this;
 }
 
@@ -64,21 +101,42 @@ std::set<std::string> SymbolicCtmc::parameters() const {
   return out;
 }
 
+const SymbolicCtmc::Compilation& SymbolicCtmc::compilation() const {
+  Compilation& c = *compilation_;
+  std::call_once(c.once, [&] {
+    c.model = std::make_unique<const CompiledCtmc>(*this, c.slots);
+  });
+  return c;
+}
+
+const CompiledCtmc& SymbolicCtmc::compiled() const {
+  return *compilation().model;
+}
+
+const expr::SlotTable& SymbolicCtmc::slots() const {
+  return compilation().slots;
+}
+
+bool SymbolicCtmc::reaches(const std::string& name) const {
+  const Compilation& c = compilation();
+  const auto slot = c.slots.find(name);
+  return slot && c.model->reaches(*slot);
+}
+
 Ctmc SymbolicCtmc::bind(const expr::ParameterSet& params) const {
-  std::vector<Transition> transitions;
-  transitions.reserve(transitions_.size());
-  for (const SymbolicTransition& t : transitions_) {
-    const double value = t.rate.evaluate(params);
-    if (value == 0.0) continue;
-    if (!(value > 0.0) || !std::isfinite(value)) {
-      throw std::invalid_argument(
-          "SymbolicCtmc::bind: rate '" + t.rate.source() + "' on " +
-          states_[t.from].name + " -> " + states_[t.to].name +
-          " evaluated to a negative or non-finite value");
-    }
-    transitions.push_back({t.from, t.to, value});
+  const Compilation& c = compilation();
+  expr::SlotValues values(c.slots.size());
+  c.slots.resolve(params, values.values(), values.bound());
+  return c.model->bind(values.values(), values.bound(), c.slots);
+}
+
+expr::ParameterSet SymbolicCtmc::with_definitions(
+    const expr::ParameterSet& params) const {
+  expr::ParameterSet out = params;
+  for (const Definition& d : definitions_) {
+    if (!out.contains(d.name)) out.set(d.name, d.value.evaluate(out));
   }
-  return Ctmc(states_, transitions);
+  return out;
 }
 
 }  // namespace rascal::ctmc

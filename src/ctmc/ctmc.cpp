@@ -9,13 +9,15 @@
 
 namespace rascal::ctmc {
 
-Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
-    : states_(std::move(states)) {
-  if (states_.empty()) {
+Ctmc::Ctmc(std::vector<State> state_list, std::vector<Transition> transitions)
+    : states_(std::make_shared<const std::vector<State>>(
+          std::move(state_list))) {
+  const std::vector<State>& states = *states_;
+  if (states.empty()) {
     throw std::invalid_argument("Ctmc: must have at least one state");
   }
   std::set<std::string> names;
-  for (const State& s : states_) {
+  for (const State& s : states) {
     if (s.name.empty()) {
       throw std::invalid_argument("Ctmc: empty state name");
     }
@@ -29,17 +31,17 @@ Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
     }
   }
   for (const Transition& t : transitions) {
-    if (t.from >= states_.size() || t.to >= states_.size()) {
+    if (t.from >= states.size() || t.to >= states.size()) {
       throw std::invalid_argument("Ctmc: transition endpoint out of range");
     }
     if (t.from == t.to) {
       throw std::invalid_argument("Ctmc: self-loop on state '" +
-                                  states_[t.from].name + "'");
+                                  states[t.from].name + "'");
     }
     if (!(t.rate > 0.0) || !std::isfinite(t.rate)) {
       throw std::invalid_argument("Ctmc: non-positive rate on transition " +
-                                  states_[t.from].name + " -> " +
-                                  states_[t.to].name);
+                                  states[t.from].name + " -> " +
+                                  states[t.to].name);
     }
   }
 
@@ -57,29 +59,29 @@ Ctmc::Ctmc(std::vector<State> states, std::vector<Transition> transitions)
     }
   }
 
-  row_offsets_.assign(states_.size() + 1, 0);
+  row_offsets_.assign(states.size() + 1, 0);
   for (const Transition& t : transitions_) ++row_offsets_[t.from + 1];
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
     row_offsets_[i + 1] += row_offsets_[i];
   }
-  exit_rates_.assign(states_.size(), 0.0);
+  exit_rates_.assign(states.size(), 0.0);
   for (const Transition& t : transitions_) exit_rates_[t.from] += t.rate;
 }
 
 const std::string& Ctmc::state_name(StateId id) const {
-  if (id >= states_.size()) throw std::out_of_range("Ctmc::state_name");
-  return states_[id].name;
+  if (id >= states_->size()) throw std::out_of_range("Ctmc::state_name");
+  return (*states_)[id].name;
 }
 
 double Ctmc::reward(StateId id) const {
-  if (id >= states_.size()) throw std::out_of_range("Ctmc::reward");
-  return states_[id].reward;
+  if (id >= states_->size()) throw std::out_of_range("Ctmc::reward");
+  return (*states_)[id].reward;
 }
 
 std::optional<StateId> Ctmc::find_state(
     const std::string& name) const noexcept {
-  for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].name == name) return i;
+  for (StateId i = 0; i < states_->size(); ++i) {
+    if ((*states_)[i].name == name) return i;
   }
   return std::nullopt;
 }
@@ -93,12 +95,12 @@ StateId Ctmc::state(const std::string& name) const {
 }
 
 double Ctmc::exit_rate(StateId id) const {
-  if (id >= states_.size()) throw std::out_of_range("Ctmc::exit_rate");
+  if (id >= states_->size()) throw std::out_of_range("Ctmc::exit_rate");
   return exit_rates_[id];
 }
 
 double Ctmc::rate(StateId from, StateId to) const {
-  if (from >= states_.size() || to >= states_.size()) {
+  if (from >= states_->size() || to >= states_->size()) {
     throw std::out_of_range("Ctmc::rate");
   }
   for (std::size_t k = row_offsets_[from]; k < row_offsets_[from + 1]; ++k) {
@@ -108,23 +110,23 @@ double Ctmc::rate(StateId from, StateId to) const {
 }
 
 linalg::Matrix Ctmc::generator() const {
-  linalg::Matrix q(states_.size(), states_.size());
+  linalg::Matrix q(states_->size(), states_->size());
   for (const Transition& t : transitions_) q(t.from, t.to) = t.rate;
-  for (StateId i = 0; i < states_.size(); ++i) q(i, i) = -exit_rates_[i];
+  for (StateId i = 0; i < states_->size(); ++i) q(i, i) = -exit_rates_[i];
   return q;
 }
 
 void Ctmc::write_generator(linalg::Matrix& q) const {
-  q.reshape(states_.size(), states_.size(), 0.0);
+  q.reshape(states_->size(), states_->size(), 0.0);
   for (const Transition& t : transitions_) q(t.from, t.to) = t.rate;
-  for (StateId i = 0; i < states_.size(); ++i) q(i, i) = -exit_rates_[i];
+  for (StateId i = 0; i < states_->size(); ++i) q(i, i) = -exit_rates_[i];
 }
 
 linalg::CsrMatrix Ctmc::sparse_generator() const {
   // transitions_ is already sorted by (from, to) with merged duplicates
   // and no self-loops, so each CSR row is the row's transitions with
   // the diagonal spliced in at its sorted position.
-  const std::size_t n = states_.size();
+  const std::size_t n = states_->size();
   std::vector<std::size_t> row_ptr(n + 1, 0);
   std::vector<std::size_t> col_idx;
   std::vector<double> values;
@@ -159,26 +161,32 @@ bool Ctmc::is_irreducible() const {
   // Tarjan SCC (lint/scc.h): irreducible iff one strongly connected
   // component.  The same pass powers the structural linter, so the
   // two can never disagree about reducibility.
-  lint::Adjacency edges(states_.size());
-  for (const Transition& t : transitions_) {
-    edges[t.from].push_back(t.to);
-  }
-  return lint::tarjan_scc(edges).num_components() == 1;
+  return lint::tarjan_scc(adjacency()).num_components() == 1;
+}
+
+lint::Adjacency Ctmc::adjacency() const {
+  // transitions_ is sorted by source, so the CSR offsets are the row
+  // index itself and the targets one pass over the transitions.
+  lint::Adjacency edges;
+  edges.offsets = row_offsets_;
+  edges.targets.reserve(transitions_.size());
+  for (const Transition& t : transitions_) edges.targets.push_back(t.to);
+  return edges;
 }
 
 std::vector<StateId> Ctmc::states_with_reward_at_least(
     double threshold) const {
   std::vector<StateId> out;
-  for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].reward >= threshold) out.push_back(i);
+  for (StateId i = 0; i < states_->size(); ++i) {
+    if ((*states_)[i].reward >= threshold) out.push_back(i);
   }
   return out;
 }
 
 std::vector<StateId> Ctmc::states_with_reward_below(double threshold) const {
   std::vector<StateId> out;
-  for (StateId i = 0; i < states_.size(); ++i) {
-    if (states_[i].reward < threshold) out.push_back(i);
+  for (StateId i = 0; i < states_->size(); ++i) {
+    if ((*states_)[i].reward < threshold) out.push_back(i);
   }
   return out;
 }

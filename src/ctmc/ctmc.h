@@ -8,13 +8,17 @@
 // from a stochastic Petri net (spn/).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
+#include "lint/scc.h"
 
 namespace rascal::ctmc {
 
@@ -31,6 +35,17 @@ struct Transition {
   double rate = 0.0;
 };
 
+/// Structural facts shared by every chain a compiled model
+/// (compiled.h) binds with one nonzero rate pattern.  Only a verdict
+/// that passed is ever recorded, so a failing pattern re-runs the
+/// check and reports its diagnostics afresh.
+struct PatternMemo {
+  /// validate_for_steady_state found no error for this pattern.
+  std::atomic<bool> steady_state_valid{false};
+};
+
+class CompiledCtmc;
+
 class Ctmc {
  public:
   /// Validates invariants: non-empty state set, unique state names,
@@ -41,10 +56,10 @@ class Ctmc {
   Ctmc(std::vector<State> states, std::vector<Transition> transitions);
 
   [[nodiscard]] std::size_t num_states() const noexcept {
-    return states_.size();
+    return states_->size();
   }
   [[nodiscard]] const std::vector<State>& states() const noexcept {
-    return states_;
+    return *states_;
   }
   [[nodiscard]] const std::vector<Transition>& transitions() const noexcept {
     return transitions_;
@@ -79,6 +94,10 @@ class Ctmc {
   /// True when every state can reach every other state.
   [[nodiscard]] bool is_irreducible() const;
 
+  /// Transition graph (successors in ascending order) for the
+  /// structural analyses in lint/scc.h.
+  [[nodiscard]] lint::Adjacency adjacency() const;
+
   /// States with reward >= threshold (default: "up" states).
   [[nodiscard]] std::vector<StateId> states_with_reward_at_least(
       double threshold = 1.0) const;
@@ -89,13 +108,33 @@ class Ctmc {
   /// Largest exit rate over all states (uniformization constant base).
   [[nodiscard]] double max_exit_rate() const noexcept;
 
+  /// Solve-cache identity of a chain bound from a compiled model: the
+  /// model's process-unique id mixed with the bits of every parameter
+  /// slot its rates and rewards read (0 for chains built any other
+  /// way).  Equal identities mean equal chains.
+  [[nodiscard]] std::uint64_t bind_key() const noexcept { return bind_key_; }
+
+  /// The compiled model's memo for this chain's nonzero pattern
+  /// (nullptr for chains built any other way).
+  [[nodiscard]] PatternMemo* pattern_memo() const noexcept {
+    return memo_.get();
+  }
+
  private:
-  std::vector<State> states_;
+  friend class CompiledCtmc;
+  // Assembled by CompiledCtmc::bind from a pre-sorted pattern.
+  Ctmc() = default;
+
+  // Shared with the compiled model (and every chain it binds) when the
+  // rewards are constant.
+  std::shared_ptr<const std::vector<State>> states_;
   std::vector<Transition> transitions_;
   // Adjacency index: transitions_ offsets sorted by (from, to); built
   // once in the constructor.
   std::vector<std::size_t> row_offsets_;
   std::vector<double> exit_rates_;
+  std::shared_ptr<PatternMemo> memo_;
+  std::uint64_t bind_key_ = 0;
 };
 
 }  // namespace rascal::ctmc

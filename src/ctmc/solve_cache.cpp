@@ -18,6 +18,14 @@ constexpr std::uint64_t kSpread = 0x9E3779B97F4A7C15ULL;
   return p;
 }
 
+// splitmix64 finalizer, chained one word at a time.
+[[nodiscard]] std::uint64_t mix_word(std::uint64_t x) noexcept {
+  x += kSpread;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 std::uint64_t SolveCache::generator_digest(const Ctmc& chain) {
@@ -34,6 +42,23 @@ std::uint64_t SolveCache::generator_digest(const Ctmc& chain) {
 std::uint64_t steady_state_key(const Ctmc& chain, SteadyStateMethod method,
                                Validation validation,
                                const SolveControl& control) {
+  const std::uint64_t fields[] = {
+      static_cast<std::uint64_t>(method),
+      validation == Validation::kOn ? 1U : 0U,
+      control.max_iterations,
+      control.escalate ? 1U : 0U,
+      control.sparse_threshold,
+      static_cast<std::uint64_t>(control.precond),
+      control.gmres_restart,
+  };
+  if (chain.bind_key() != 0) {
+    // A chain bound from a compiled model already carries an exact
+    // identity (model id + the bits of the slots its rates read), so
+    // the key needs no pass over the transitions.
+    std::uint64_t key = chain.bind_key();
+    for (const std::uint64_t field : fields) key = mix_word(key ^ field);
+    return key;
+  }
   resil::DigestBuilder key_builder;
   key_builder.add_u64(SolveCache::generator_digest(chain));
   key_builder.add_u64(static_cast<std::uint64_t>(method));

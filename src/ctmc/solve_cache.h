@@ -4,10 +4,14 @@
 // sample (e.g. the availability metric and the downtime attribution
 // both need the root distribution), and batched drivers often sweep
 // parameters that leave some submodel generators untouched.  A
-// SolveCache keys the most recent solve by an exact digest of the
-// generator (state count plus every transition's endpoints and rate
-// bit pattern, via resil::DigestBuilder) and returns the stored
-// distribution on a match instead of re-running the factorisation.
+// SolveCache keys the most recent solve by the chain's exact identity
+// and returns the stored distribution on a match instead of
+// re-running the factorisation.  A chain bound from a compiled model
+// (compiled.h) is identified by its model id and the bits of the
+// parameter slots its rates read (Ctmc::bind_key), so a hit costs no
+// pass over the transitions and skips validation; any other chain by
+// a digest of its generator (state count plus every transition's
+// endpoints and rate bit pattern, via resil::DigestBuilder).
 // Because the solvers are deterministic, a cache hit is bit-identical
 // to a fresh solve — gated by the src/check/ oracle.
 //
@@ -34,10 +38,12 @@
 
 namespace rascal::ctmc {
 
-/// Exact key of a steady-state solve: the generator digest plus every
+/// Exact key of a steady-state solve: the chain's identity plus every
 /// SolveControl field that can change the computed bits (method,
 /// validation, max_iterations, escalate, sparse_threshold, precond,
-/// gmres_restart).  The cancellation token and workspace pointer are
+/// gmres_restart).  A chain bound from a compiled model is identified
+/// by its Ctmc::bind_key (model id + parameter-slot bits); any other
+/// chain by the generator digest.  The cancellation token and workspace pointer are
 /// excluded: they never change the solution.  Two solves with equal
 /// keys are bit-identical; the property suite asserts every field
 /// (and every transition rate) discriminates.

@@ -27,12 +27,23 @@ lint::Diagnostic state_error(const char* code, std::string message,
 
 lint::LintReport validate_for_steady_state(const Ctmc& chain) {
   lint::LintReport report;
-  lint::Adjacency edges(chain.num_states());
-  for (const Transition& t : chain.transitions()) {
-    edges[t.from].push_back(t.to);
+  // A chain bound from a compiled model shares its pattern's verdict:
+  // the check depends only on which transitions are present, so once
+  // one chain with this pattern passed, every later one does.
+  PatternMemo* memo = chain.pattern_memo();
+  if (memo != nullptr &&
+      memo->steady_state_valid.load(std::memory_order_acquire)) {
+    return report;
   }
+  const lint::Adjacency edges = chain.adjacency();
   const lint::SccResult scc = lint::tarjan_scc(edges);
-  if (scc.num_components() == 1) return report;
+  const auto passed = [&]() -> lint::LintReport {
+    if (memo != nullptr) {
+      memo->steady_state_valid.store(true, std::memory_order_release);
+    }
+    return lint::LintReport{};
+  };
+  if (scc.num_components() == 1) return passed();
 
   // A reducible chain still has a unique stationary distribution as
   // long as exactly one communicating class is closed: the transient
@@ -44,7 +55,7 @@ lint::LintReport validate_for_steady_state(const Ctmc& chain) {
   for (std::size_t c = 0; c < scc.num_components(); ++c) {
     if (closed[c]) closed_ids.push_back(c);
   }
-  if (closed_ids.size() <= 1) return report;
+  if (closed_ids.size() <= 1) return passed();
 
   lint::Diagnostic d;
   d.code = lint::codes::kNotIrreducible;
@@ -75,10 +86,10 @@ lint::LintReport validate_for_absorption(const Ctmc& chain,
                                          const std::vector<StateId>& targets) {
   lint::LintReport report;
   // Backward reachability: which states can reach the target set?
-  lint::Adjacency reverse(chain.num_states());
-  for (const Transition& t : chain.transitions()) {
-    reverse[t.to].push_back(t.from);
-  }
+  const lint::Adjacency reverse = lint::Adjacency::from_edges(
+      chain.num_states(), chain.transitions(),
+      [](const Transition& t) { return t.to; },
+      [](const Transition& t) { return t.from; });
   std::vector<bool> reaches(chain.num_states(), false);
   std::vector<StateId> stack;
   for (const StateId t : targets) {

@@ -1,6 +1,5 @@
 #include "expr/ast.h"
 
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,9 +17,7 @@ namespace {
 
 bool is_constant(const NodePtr& node, double value) {
   const auto* number = dynamic_cast<const NumberNode*>(node.get());
-  if (number == nullptr) return false;
-  static const ParameterSet kEmpty;
-  return number->evaluate(kEmpty) == value;
+  return number != nullptr && number->value() == value;
 }
 
 NodePtr constant(double value) {
@@ -157,20 +154,15 @@ NodePtr CallNode::differentiate(const std::string& variable) const {
   return constant(0.0);
 }
 
-double BinaryNode::evaluate(const ParameterSet& params) const {
-  const double a = lhs_->evaluate(params);
-  const double b = rhs_->evaluate(params);
+void BinaryNode::emit(Emitter& out) const {
+  lhs_->emit(out);
+  rhs_->emit(out);
   switch (op_) {
-    case BinaryOp::kAdd: return a + b;
-    case BinaryOp::kSubtract: return a - b;
-    case BinaryOp::kMultiply: return a * b;
-    case BinaryOp::kDivide:
-      if (b == 0.0) {
-        throw std::domain_error("expression: division by zero in " +
-                                to_string());
-      }
-      return a / b;
-    case BinaryOp::kPower: return std::pow(a, b);
+    case BinaryOp::kAdd: out.op(OpCode::kAdd); return;
+    case BinaryOp::kSubtract: out.op(OpCode::kSub); return;
+    case BinaryOp::kMultiply: out.op(OpCode::kMul); return;
+    case BinaryOp::kDivide: out.divide(*this); return;
+    case BinaryOp::kPower: out.op(OpCode::kPow); return;
   }
   throw std::logic_error("BinaryNode: unreachable");
 }
@@ -234,27 +226,17 @@ std::size_t CallNode::builtin_arity(const std::string& name) {
   throw std::invalid_argument("expression: unknown function '" + name + "'");
 }
 
-double CallNode::evaluate(const ParameterSet& params) const {
-  const auto arg = [&](std::size_t i) { return args_[i]->evaluate(params); };
-  if (function_ == "exp") return std::exp(arg(0));
-  if (function_ == "log") {
-    const double x = arg(0);
-    if (!(x > 0.0)) {
-      throw std::domain_error("expression: log of non-positive value");
-    }
-    return std::log(x);
-  }
-  if (function_ == "sqrt") {
-    const double x = arg(0);
-    if (x < 0.0) {
-      throw std::domain_error("expression: sqrt of negative value");
-    }
-    return std::sqrt(x);
-  }
-  if (function_ == "abs") return std::abs(arg(0));
-  if (function_ == "min") return std::min(arg(0), arg(1));
-  if (function_ == "max") return std::max(arg(0), arg(1));
-  if (function_ == "pow") return std::pow(arg(0), arg(1));
+void CallNode::emit(Emitter& out) const {
+  // Arguments are evaluated left to right, so the first failing
+  // argument in source order is the one reported.
+  for (const NodePtr& a : args_) a->emit(out);
+  if (function_ == "exp") return out.op(OpCode::kExp);
+  if (function_ == "log") return out.op(OpCode::kLog);
+  if (function_ == "sqrt") return out.op(OpCode::kSqrt);
+  if (function_ == "abs") return out.op(OpCode::kAbs);
+  if (function_ == "min") return out.op(OpCode::kMin);
+  if (function_ == "max") return out.op(OpCode::kMax);
+  if (function_ == "pow") return out.op(OpCode::kPow);
   throw std::logic_error("CallNode: unreachable");
 }
 

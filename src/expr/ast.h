@@ -6,19 +6,22 @@
 #include <string>
 #include <vector>
 
-#include "expr/parameter_set.h"
+#include "expr/program.h"
 
 namespace rascal::expr {
 
 /// Immutable AST node.  Nodes are shared between copies of an
-/// Expression, hence shared_ptr<const Node>.
+/// Expression, hence shared_ptr<const Node>.  Nodes are not evaluated
+/// directly: they emit postfix code into a Program (program.h), which
+/// is the only evaluator.
 class Node;
 using NodePtr = std::shared_ptr<const Node>;
 
 class Node {
  public:
   virtual ~Node() = default;
-  [[nodiscard]] virtual double evaluate(const ParameterSet& params) const = 0;
+  /// Emits this subtree's code, operands left to right.
+  virtual void emit(Emitter& out) const = 0;
   virtual void collect_variables(std::set<std::string>& out) const = 0;
   [[nodiscard]] virtual std::string to_string() const = 0;
   /// Symbolic partial derivative with respect to `variable`.  Throws
@@ -31,9 +34,8 @@ class Node {
 class NumberNode final : public Node {
  public:
   explicit NumberNode(double value) : value_(value) {}
-  [[nodiscard]] double evaluate(const ParameterSet&) const override {
-    return value_;
-  }
+  [[nodiscard]] double value() const noexcept { return value_; }
+  void emit(Emitter& out) const override { out.constant(value_); }
   void collect_variables(std::set<std::string>&) const override {}
   [[nodiscard]] std::string to_string() const override;
   [[nodiscard]] NodePtr differentiate(const std::string&) const override;
@@ -45,9 +47,7 @@ class NumberNode final : public Node {
 class VariableNode final : public Node {
  public:
   explicit VariableNode(std::string name) : name_(std::move(name)) {}
-  [[nodiscard]] double evaluate(const ParameterSet& params) const override {
-    return params.get(name_);
-  }
+  void emit(Emitter& out) const override { out.load(name_); }
   void collect_variables(std::set<std::string>& out) const override {
     out.insert(name_);
   }
@@ -65,7 +65,7 @@ class BinaryNode final : public Node {
  public:
   BinaryNode(BinaryOp op, NodePtr lhs, NodePtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-  [[nodiscard]] double evaluate(const ParameterSet& params) const override;
+  void emit(Emitter& out) const override;
   void collect_variables(std::set<std::string>& out) const override {
     lhs_->collect_variables(out);
     rhs_->collect_variables(out);
@@ -83,8 +83,9 @@ class BinaryNode final : public Node {
 class NegateNode final : public Node {
  public:
   explicit NegateNode(NodePtr operand) : operand_(std::move(operand)) {}
-  [[nodiscard]] double evaluate(const ParameterSet& params) const override {
-    return -operand_->evaluate(params);
+  void emit(Emitter& out) const override {
+    operand_->emit(out);
+    out.op(OpCode::kNeg);
   }
   void collect_variables(std::set<std::string>& out) const override {
     operand_->collect_variables(out);
@@ -103,7 +104,7 @@ class NegateNode final : public Node {
 class CallNode final : public Node {
  public:
   CallNode(std::string function, std::vector<NodePtr> args);
-  [[nodiscard]] double evaluate(const ParameterSet& params) const override;
+  void emit(Emitter& out) const override;
   void collect_variables(std::set<std::string>& out) const override {
     for (const NodePtr& a : args_) a->collect_variables(out);
   }

@@ -149,14 +149,18 @@ class Parser {
 }  // namespace
 
 Expression::Expression(double constant)
-    : root_(std::make_shared<NumberNode>(constant)) {
+    : Expression(std::make_shared<NumberNode>(constant), {}) {
   std::ostringstream os;
   os << constant;
   source_ = os.str();
 }
 
 Expression::Expression(NodePtr root, std::string source)
-    : root_(std::move(root)), source_(std::move(source)) {}
+    : root_(std::move(root)), source_(std::move(source)) {
+  auto compiled = std::make_shared<Compiled>();
+  (void)compiled->program.add(root_, compiled->slots);
+  compiled_ = std::move(compiled);
+}
 
 Expression Expression::parse(const std::string& source) {
   Parser parser(tokenize(source));
@@ -164,7 +168,16 @@ Expression Expression::parse(const std::string& source) {
 }
 
 double Expression::evaluate(const ParameterSet& params) const {
-  return root_->evaluate(params);
+  const SlotTable& slots = compiled_->slots;
+  SlotValues values(slots.size());
+  slots.resolve(params, values.values(), values.bound());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (values.bound()[i] == 0) {
+      return compiled_->program.run_checked(0, values.values(),
+                                            values.bound(), slots);
+    }
+  }
+  return compiled_->program.run(0, values.values());
 }
 
 std::set<std::string> Expression::variables() const {

@@ -3,15 +3,20 @@
 //   auto e = Expression::parse("2*La_hadb*(1-FIR)");
 //   double rate = e.evaluate(params);
 //
-// Copies share the immutable AST, so Expressions are cheap to store in
-// model transition tables.
+// Copies share the immutable AST and its compiled program, so
+// Expressions are cheap to store in model transition tables.
+// Evaluation runs the compiled postfix program (program.h); models
+// compile all their expressions into one shared program instead
+// (compile_into).
 #pragma once
 
+#include <memory>
 #include <set>
 #include <string>
 
 #include "expr/ast.h"
 #include "expr/parameter_set.h"
+#include "expr/program.h"
 
 namespace rascal::expr {
 
@@ -25,8 +30,14 @@ class Expression {
   [[nodiscard]] static Expression parse(const std::string& source);
 
   /// Evaluates against parameter bindings; throws
-  /// UnknownParameterError for unbound variables.
+  /// UnknownParameterError for the first unbound variable reached.
   [[nodiscard]] double evaluate(const ParameterSet& params) const;
+
+  /// Compiles this expression into `program` as a new entry whose
+  /// variables resolve through `slots`; returns the entry index.
+  std::uint32_t compile_into(Program& program, SlotTable& slots) const {
+    return program.add(root_, slots);
+  }
 
   /// All variable names referenced by the expression.
   [[nodiscard]] std::set<std::string> variables() const;
@@ -46,8 +57,16 @@ class Expression {
  private:
   Expression(NodePtr root, std::string source);
 
+  // The expression compiled on its own: one entry over slots named by
+  // the variables in first-use order.
+  struct Compiled {
+    SlotTable slots;
+    Program program;
+  };
+
   NodePtr root_;
   std::string source_;
+  std::shared_ptr<const Compiled> compiled_;
 };
 
 }  // namespace rascal::expr

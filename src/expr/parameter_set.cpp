@@ -22,6 +22,11 @@ double ParameterSet::get_or(const std::string& name, double fallback) const {
   return it == values_.end() ? fallback : it->second;
 }
 
+const double* ParameterSet::find(const std::string& name) const {
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 std::vector<std::string> ParameterSet::names() const {
   std::vector<std::string> out;
   out.reserve(values_.size());

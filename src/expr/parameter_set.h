@@ -40,6 +40,9 @@ class ParameterSet {
   [[nodiscard]] double get_or(const std::string& name,
                               double fallback) const;
 
+  /// Pointer to the bound value, or nullptr when absent.
+  [[nodiscard]] const double* find(const std::string& name) const;
+
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
 
   /// Sorted parameter names.

@@ -62,13 +62,39 @@ class LineScanner {
 }  // namespace
 
 ctmc::Ctmc ModelFile::bind(const expr::ParameterSet& overrides) const {
-  return model.bind(parameters.with(overrides));
+  const expr::SlotTable& slots = model.slots();
+  expr::SlotValues values(slots.size());
+  slots.resolve(parameters, values.values(), values.bound());
+  slots.resolve(overrides, values.values(), values.bound());
+  return model.compiled().bind(values.values(), values.bound(), slots);
+}
+
+expr::ParameterSet ModelFile::effective_parameters(
+    const expr::ParameterSet& overrides) const {
+  return model.with_definitions(parameters.with(overrides));
+}
+
+void ModelFile::check_overrides(const expr::ParameterSet& overrides) const {
+  for (const auto& [key, value] : overrides) {
+    (void)value;
+    if (model.reaches(key)) continue;
+    bool known = parameters.contains(key);
+    for (const ctmc::SymbolicCtmc::Definition& d : model.definitions()) {
+      known = known || d.name == key;
+    }
+    throw OverrideError(
+        known ? "override '" + key + "' reaches no rate or reward of the model"
+              : "override '" + key + "' names no parameter of the model");
+  }
 }
 
 ModelFile parse_model(std::istream& in) {
   ModelFile out;
   std::set<std::string> state_names;
   std::set<std::string> param_names;
+  // Every parameter declared so far at its default value: a value or
+  // reward must evaluate against these, or the file is malformed.
+  expr::ParameterSet defaults;
   std::string raw;
   std::size_t line_number = 0;
   bool has_rate = false;
@@ -95,10 +121,13 @@ ModelFile parse_model(std::istream& in) {
       try {
         // Values may reference earlier parameters ("La_as/La").
         const expr::Expression value = expr::Expression::parse(value_text);
-        for (const std::string& used : value.variables()) {
-          out.params_used_in_definitions.insert(used);
+        const double default_value = value.evaluate(defaults);
+        defaults.set(name, default_value);
+        if (value.variables().empty()) {
+          out.parameters.set(name, default_value);
+        } else {
+          out.model.define(name, value);
         }
-        out.parameters.set(name, value.evaluate(out.parameters));
       } catch (const std::exception& e) {
         throw ModelFileError(
             "bad value for parameter '" + name + "': " + e.what(),
@@ -120,19 +149,15 @@ ModelFile parse_model(std::istream& in) {
         throw ModelFileError("duplicate state '" + name + "'", line_number,
                              name_col);
       }
-      double reward = 0.0;
       try {
-        const expr::Expression parsed = expr::Expression::parse(reward_text);
-        for (const std::string& used : parsed.variables()) {
-          out.params_used_in_definitions.insert(used);
-        }
-        reward = parsed.evaluate(out.parameters);
+        const expr::Expression reward = expr::Expression::parse(reward_text);
+        (void)reward.evaluate(defaults);
+        (void)out.model.state(name, reward);
       } catch (const std::exception& e) {
         throw ModelFileError(
             "bad reward for state '" + name + "': " + e.what(), line_number,
             reward_col);
       }
-      (void)out.model.state(name, reward);
       out.source.states[name] = {line_number, name_col};
     } else if (directive == "rate") {
       const auto [from, from_col] = scan.word();
@@ -170,6 +195,8 @@ ModelFile parse_model(std::istream& in) {
   if (!has_rate) {
     throw ModelFileError("model declares no transitions", line_number);
   }
+  // Compile now, so loading pays for it once and binds never do.
+  (void)out.model.compiled();
   return out;
 }
 
@@ -186,18 +213,39 @@ lint::LintReport lint_model_file(const ModelFile& file,
   const lint::LintReport report =
       lint::lint_model(file.model, file.parameters.with(overrides),
                        file_options, &file.source);
-  // A parameter consumed by another param's value (or a state reward)
-  // was used, even though the eager evaluation hides that use from the
-  // symbolic model; drop the R021 false positives.
-  lint::LintReport filtered;
+  // An override that reaches nothing is an error (R026) rather than
+  // the unused-parameter warning its name would otherwise draw.
+  lint::LintReport out;
   for (const lint::Diagnostic& d : report) {
     if (d.code == lint::codes::kUnusedParameter &&
-        file.params_used_in_definitions.count(d.location.parameter) > 0) {
+        overrides.contains(d.location.parameter)) {
       continue;
     }
-    filtered.add(d);
+    out.add(d);
   }
-  return filtered;
+  for (const auto& [name, value] : overrides) {
+    (void)value;
+    try {
+      file.check_overrides(expr::ParameterSet{{name, value}});
+    } catch (const OverrideError& e) {
+      lint::Diagnostic d;
+      d.code = lint::codes::kUnreachedOverride;
+      d.severity = lint::Severity::kError;
+      d.message = e.what();
+      d.location.file = file.source.file;
+      d.location.parameter = name;
+      const auto pos = file.source.parameters.find(name);
+      if (pos != file.source.parameters.end()) {
+        d.location.line = pos->second.line;
+        d.location.column = pos->second.column;
+      }
+      d.fix_hint =
+          "check the spelling, or override a parameter a rate or reward "
+          "depends on";
+      out.add(std::move(d));
+    }
+  }
+  return out;
 }
 
 ModelFile load_model(const std::string& path, LintOnLoad lint) {

@@ -6,17 +6,22 @@
 //   model  JSAS HADB node pair          # optional title
 //   param  La_hadb  2/8760              # value may use earlier params
 //   param  FIR      0.001
+//   param  La       La_hadb+La_os       # derived parameter
 //   state  Ok           reward 1
 //   state  2_Down       reward 0
 //   rate   Ok 2_Down    2*La_hadb*FIR   # rest of line = expression
 //
-// Parameter values are expressions evaluated eagerly against the
-// parameters defined above them; rate expressions stay symbolic so
-// the CLI can override parameters and re-solve.
+// A parameter whose value reads no other parameter is a base
+// parameter: its value is a default an override may replace.  One
+// that reads earlier parameters is a derived parameter: it stays
+// symbolic (SymbolicCtmc::define) and is evaluated at bind time,
+// after overrides apply, so overriding La_hadb moves La as well.
+// Overriding a derived parameter replaces its definition.  Rates and
+// rewards stay symbolic too; everything compiles once, at load, into
+// the model's slot program (ctmc/compiled.h).
 #pragma once
 
 #include <iosfwd>
-#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -57,24 +62,39 @@ class ModelFileError : public std::runtime_error {
   std::string message_;
 };
 
+/// An override that cannot change the model's answer: it names no
+/// parameter of the model, or one no rate or reward depends on.
+class OverrideError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 struct ModelFile {
   std::string name;
-  expr::ParameterSet parameters;  // defaults declared in the file
+  // Defaults of the base parameters (derived ones live in `model`).
+  expr::ParameterSet parameters;
+  // States, rates, rewards and the derived-parameter definitions.
   ctmc::SymbolicCtmc model;
   // Where each param/state/rate was declared; lets the linter report
   // file:line:column locations.  `source.file` is filled by
   // load_model (streams have no path).
   lint::SourceMap source;
-  // Parameters referenced by other param values or state rewards
-  // ("param La La_as+La_os").  Those expressions are evaluated eagerly
-  // at parse time, so the symbolic model never sees them; without this
-  // record the unused-parameter check (R021) would false-positive.
-  std::set<std::string> params_used_in_definitions;
 
-  /// Binds the symbolic model against the file's defaults overridden
-  /// by `overrides`.
+  /// Binds the model against the file's defaults overridden by
+  /// `overrides`; derived parameters are evaluated after the
+  /// overrides apply.  Overrides that reach nothing are ignored here;
+  /// check_overrides refuses them.
   [[nodiscard]] ctmc::Ctmc bind(
       const expr::ParameterSet& overrides = {}) const;
+
+  /// Defaults, overrides and every derived parameter, evaluated.
+  [[nodiscard]] expr::ParameterSet effective_parameters(
+      const expr::ParameterSet& overrides = {}) const;
+
+  /// Throws OverrideError for the first override (in name order) that
+  /// names no parameter of the model or that no rate or reward
+  /// depends on, directly or through derived parameters.
+  void check_overrides(const expr::ParameterSet& overrides) const;
 };
 
 /// Parses a model from a stream.  Throws ModelFileError on syntax
@@ -90,7 +110,8 @@ struct ModelFile {
 /// file, with diagnostics located at file:line:column via the file's
 /// SourceMap.  Unused-parameter warnings (R021) are on: file-local
 /// params have no other consumer.  `overrides` participate so linting
-/// matches what bind() would solve.
+/// matches what bind() would solve; an override that reaches no rate
+/// or reward is an R026 error.
 [[nodiscard]] lint::LintReport lint_model_file(
     const ModelFile& file, const expr::ParameterSet& overrides = {},
     const lint::LintOptions& options = {});

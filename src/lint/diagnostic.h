@@ -46,6 +46,7 @@ inline constexpr const char* kDivisionByZero = "R022";
 inline constexpr const char* kBadRange = "R023";
 inline constexpr const char* kZeroRate = "R024";
 inline constexpr const char* kNegativeRateExpr = "R025";
+inline constexpr const char* kUnreachedOverride = "R026";
 inline constexpr const char* kStiffChain = "R030";
 inline constexpr const char* kNearZeroRate = "R031";
 inline constexpr const char* kHorizonInfeasible = "R032";

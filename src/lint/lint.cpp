@@ -52,18 +52,10 @@ Location param_loc(const std::string& name) {
   return loc;
 }
 
-Adjacency adjacency_of(const ctmc::Ctmc& chain) {
-  Adjacency edges(chain.num_states());
-  for (const ctmc::Transition& t : chain.transitions()) {
-    edges[t.from].push_back(t.to);
-  }
-  return edges;
-}
-
 // Structural analysis shared by lint_ctmc: Tarjan SCC over the chain.
 void lint_structure(const ctmc::Ctmc& chain, const LintOptions& options,
                     LintReport& report) {
-  const Adjacency edges = adjacency_of(chain);
+  const Adjacency edges = chain.adjacency();
   const SccResult scc = tarjan_scc(edges);
   const StateId initial =
       options.initial_state < chain.num_states() ? options.initial_state : 0;
@@ -349,26 +341,64 @@ LintReport lint_symbolic(const ctmc::SymbolicCtmc& model,
                          const expr::ParameterSet& params,
                          const LintOptions& options) {
   LintReport report;
-  for (const ctmc::State& s : model.states()) {
-    if (!std::isfinite(s.reward)) {
+  for (std::size_t i = 0; i < model.states().size(); ++i) {
+    const ctmc::State& s = model.states()[i];
+    if (!model.reward_expressions()[i] && !std::isfinite(s.reward)) {
       report.add(make(codes::kNonFiniteReward, Severity::kError,
                       "non-finite reward for state '" + s.name + "'",
                       state_loc(s.name)));
     }
   }
 
-  std::set<std::string> referenced;
+  // Derived parameters: each is evaluated after the bindings apply
+  // (unless bound there), exactly as bind() does.
+  expr::ParameterSet effective = params;
+  for (const ctmc::SymbolicCtmc::Definition& d : model.definitions()) {
+    if (effective.contains(d.name)) continue;
+    try {
+      effective.set(d.name, d.value.evaluate(effective));
+    } catch (const expr::UnknownParameterError& e) {
+      Location ploc = param_loc(d.name);
+      report.add(make(codes::kUndefinedParameter, Severity::kError,
+                      "parameter '" + d.name +
+                          "' references undefined parameter '" + e.name() +
+                          "'",
+                      ploc, "declare '" + e.name() + "' before it"));
+    } catch (const std::domain_error& e) {
+      report.add(make(codes::kDivisionByZero, Severity::kError,
+                      "parameter '" + d.name + "' cannot be evaluated: " +
+                          e.what(),
+                      param_loc(d.name)));
+    }
+  }
+  for (std::size_t i = 0; i < model.states().size(); ++i) {
+    const auto& reward = model.reward_expressions()[i];
+    if (!reward) continue;
+    const std::string& name = model.states()[i].name;
+    bool finite = false;
+    try {
+      finite = std::isfinite(reward->evaluate(effective));
+    } catch (const std::exception&) {
+      finite = false;
+    }
+    if (!finite) {
+      report.add(make(codes::kNonFiniteReward, Severity::kError,
+                      "reward of state '" + name +
+                          "' cannot be evaluated to a finite value",
+                      state_loc(name)));
+    }
+  }
+
   for (const ctmc::SymbolicCtmc::SymbolicTransition& t :
        model.transitions()) {
     const std::string& from = model.states()[t.from].name;
     const std::string& to = model.states()[t.to].name;
     const Location loc = transition_loc(from, to);
     const std::set<std::string> variables = t.rate.variables();
-    referenced.insert(variables.begin(), variables.end());
 
     bool bound = true;
     for (const std::string& v : variables) {
-      if (!params.contains(v)) {
+      if (!effective.contains(v)) {
         bound = false;
         Location ploc = loc;
         ploc.parameter = v;
@@ -383,7 +413,7 @@ LintReport lint_symbolic(const ctmc::SymbolicCtmc& model,
 
     double value = 0.0;
     try {
-      value = t.rate.evaluate(params);
+      value = t.rate.evaluate(effective);
     } catch (const std::domain_error& e) {
       report.add(make(codes::kDivisionByZero, Severity::kError,
                       "rate of '" + from + " -> " + to +
@@ -421,14 +451,26 @@ LintReport lint_symbolic(const ctmc::SymbolicCtmc& model,
   }
 
   if (options.warn_unused_parameters) {
+    // Read through the definition DAG: a parameter is used when a rate
+    // or reward reads it, or reads a derived parameter that does.
+    std::set<std::string> declared;
     for (const auto& [name, value] : params) {
       (void)value;
-      if (!referenced.count(name)) {
-        report.add(make(codes::kUnusedParameter, Severity::kWarning,
-                        "parameter '" + name +
-                            "' is never referenced by a rate expression",
-                        param_loc(name), "delete it or use it"));
+      declared.insert(name);
+    }
+    for (const auto& d : model.definitions()) declared.insert(d.name);
+    try {
+      for (const std::string& name : declared) {
+        if (!model.reaches(name)) {
+          report.add(make(codes::kUnusedParameter, Severity::kWarning,
+                          "parameter '" + name +
+                              "' reaches no rate or reward expression",
+                          param_loc(name), "delete it or use it"));
+        }
       }
+    } catch (const std::invalid_argument&) {
+      // A state table the model cannot compile (lint_raw_model reports
+      // why) has no dependency graph to read.
     }
   }
   return report;

@@ -1,5 +1,5 @@
 // Tarjan's strongly-connected-components algorithm over a generic
-// directed graph (adjacency lists), plus the condensation queries the
+// directed graph (CSR adjacency), plus the condensation queries the
 // structural lint checks need: which components are closed (no edges
 // leaving them) and which vertices are reachable from a root.
 //
@@ -9,11 +9,46 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace rascal::lint {
 
-using Adjacency = std::vector<std::vector<std::size_t>>;
+/// Directed graph in compressed-sparse-row form: the successors of
+/// vertex v are targets[offsets[v] .. offsets[v + 1]), in the order
+/// they were added.  Two flat arrays instead of one list per vertex,
+/// so building it costs two allocations whatever the vertex count.
+struct Adjacency {
+  std::vector<std::size_t> offsets{0};  // vertex count + 1 entries
+  std::vector<std::size_t> targets;
+
+  /// Edge list (from, to) -> CSR by a stable counting sort: each
+  /// vertex's successors keep their order in `edges`.  `key` picks
+  /// the source of an edge and `value` its target, so the same pass
+  /// builds the forward graph or its reverse.
+  template <typename Range, typename Key, typename Value>
+  static Adjacency from_edges(std::size_t vertices, const Range& edges,
+                              Key key, Value value) {
+    Adjacency out;
+    out.offsets.assign(vertices + 1, 0);
+    for (const auto& e : edges) ++out.offsets[key(e) + 1];
+    for (std::size_t v = 0; v < vertices; ++v) {
+      out.offsets[v + 1] += out.offsets[v];
+    }
+    out.targets.resize(out.offsets[vertices]);
+    std::vector<std::size_t> next(out.offsets.begin(), out.offsets.end() - 1);
+    for (const auto& e : edges) out.targets[next[key(e)]++] = value(e);
+    return out;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::size_t> operator[](
+      std::size_t v) const noexcept {
+    return {targets.data() + offsets[v], offsets[v + 1] - offsets[v]};
+  }
+};
 
 struct SccResult {
   /// Vertex -> component index.  Components are numbered in reverse

@@ -55,9 +55,32 @@ const core::HierarchicalModel& cached_jsas_model(const JsasConfig& config) {
   const auto key = std::make_pair(config.as_instances, config.hadb_pairs);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    it = cache.emplace(key, jsas_model(config)).first;
+    core::HierarchicalModel model = jsas_model(config);
+    model.fix("N_pair", static_cast<double>(config.hadb_pairs));
+    it = cache.emplace(key, std::move(model)).first;
   }
   return it->second;
+}
+
+// Root state ids for the downtime attribution, read once from the
+// root's state table (the chain itself never needs a second bind).
+struct RootStates {
+  ctmc::StateId as_fail = 0;
+  ctmc::StateId hadb_fail = 0;
+};
+
+const RootStates& root_states() {
+  static const RootStates ids = [] {
+    const std::vector<ctmc::State>& states = cached_jsas_root().states();
+    const auto id_of = [&](const std::string& name) {
+      for (ctmc::StateId s = 0; s < states.size(); ++s) {
+        if (states[s].name == name) return s;
+      }
+      throw std::logic_error("jsas root model has no state '" + name + "'");
+    };
+    return RootStates{id_of("AS_Fail"), id_of("HADB_Fail")};
+  }();
+  return ids;
 }
 
 const ctmc::SymbolicCtmc& cached_single_instance_model() {
@@ -121,10 +144,8 @@ JsasResult solve_jsas(const JsasConfig& config,
   }
 
   const core::HierarchicalModel& model = cached_jsas_model(config);
-  expr::ParameterSet bound = params;
-  bound.set("N_pair", static_cast<double>(config.hadb_pairs));
   core::HierarchicalResult hr = model.solve(
-      bound, ctmc::SteadyStateMethod::kGth, &cache);
+      params, ctmc::SteadyStateMethod::kGth, &cache);
 
   result.availability = hr.system.availability;
   result.downtime_minutes_per_year = hr.system.downtime_minutes_per_year;
@@ -132,11 +153,11 @@ JsasResult solve_jsas(const JsasConfig& config,
 
   // Attribute downtime to the submodel whose failure state the root
   // chain is occupying.
-  const ctmc::Ctmc root = cached_jsas_root().bind(hr.effective_params);
+  const RootStates& ids = root_states();
   result.downtime_as_minutes = core::downtime_minutes_per_year(
-      hr.root_steady.probability(root.state("AS_Fail")));
+      hr.root_steady.probability(ids.as_fail));
   result.downtime_hadb_minutes = core::downtime_minutes_per_year(
-      hr.root_steady.probability(root.state("HADB_Fail")));
+      hr.root_steady.probability(ids.hadb_fail));
 
   result.detail = std::move(hr);
   return result;

@@ -156,10 +156,23 @@ BatchResult run_batch(const std::vector<std::string>& lines,
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (!requests[i] || status[i] != kPending) continue;
-    const auto bad = model_errors.find(requests[i]->model_path);
+    const std::string& path = requests[i]->model_path;
+    std::string failure;
+    const auto bad = model_errors.find(path);
     if (bad != model_errors.end()) {
+      failure = bad->second;
+    } else {
+      // An override the model cannot honour is refused here, not
+      // silently solved at the defaults.
+      try {
+        models.at(path).check_overrides(requests[i]->overrides);
+      } catch (const io::OverrideError& e) {
+        failure = e.what();
+      }
+    }
+    if (!failure.empty()) {
       status[i] = kFailed;
-      errors[i] = "model '" + requests[i]->model_path + "': " + bad->second;
+      errors[i] = "model '" + path + "': " + failure;
       classes[i] = resil::to_string(resil::ErrorClass::kModel);
     }
   }

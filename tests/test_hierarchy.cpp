@@ -37,8 +37,8 @@ TEST(Hierarchy, ExportsFeedTheRootModel) {
   ASSERT_EQ(result.submodels.size(), 1u);
   EXPECT_NEAR(result.system.availability,
               result.submodels[0].metrics.availability, 1e-12);
-  EXPECT_NEAR(result.effective_params.get("La_sub"), 0.01, 1e-12);
-  EXPECT_NEAR(result.effective_params.get("Mu_sub"), 2.0, 1e-9);
+  EXPECT_NEAR(result.exports.get("La_sub"), 0.01, 1e-12);
+  EXPECT_NEAR(result.exports.get("Mu_sub"), 2.0, 1e-9);
 }
 
 TEST(Hierarchy, LaterSubmodelSeesEarlierExports) {
@@ -56,7 +56,7 @@ TEST(Hierarchy, LaterSubmodelSeesEarlierExports) {
                       kDefaultUpThreshold});
   model.set_root(symbolic_two_state("La_second", "Mu_second"));
   const auto result = model.solve({{"lambda_in", 0.02}, {"mu_in", 1.0}});
-  EXPECT_NEAR(result.effective_params.get("La_second"), 0.04, 1e-10);
+  EXPECT_NEAR(result.exports.get("La_second"), 0.04, 1e-10);
 }
 
 TEST(Hierarchy, AvailabilityAndFrequencyExports) {
@@ -69,9 +69,9 @@ TEST(Hierarchy, AvailabilityAndFrequencyExports) {
                       kDefaultUpThreshold});
   model.set_root(symbolic_two_state("U_sub", "A_sub"));
   const auto result = model.solve({{"l", 1.0}, {"m", 3.0}});
-  EXPECT_NEAR(result.effective_params.get("A_sub"), 0.75, 1e-12);
-  EXPECT_NEAR(result.effective_params.get("U_sub"), 0.25, 1e-12);
-  EXPECT_NEAR(result.effective_params.get("F_sub"), 0.75 * 1.0, 1e-12);
+  EXPECT_NEAR(result.exports.get("A_sub"), 0.75, 1e-12);
+  EXPECT_NEAR(result.exports.get("U_sub"), 0.25, 1e-12);
+  EXPECT_NEAR(result.exports.get("F_sub"), 0.75 * 1.0, 1e-12);
 }
 
 TEST(Hierarchy, RejectsDuplicates) {

@@ -437,8 +437,8 @@ TEST(LintModelFile, DiagnosticsCarryLineAndColumn) {
 }
 
 TEST(LintModelFile, ParamsUsedByOtherParamsAreNotUnused) {
-  // La_as/La_os only appear inside another param's value, which is
-  // evaluated eagerly at parse time; R021 must not flag them.
+  // La_as/La_os only appear inside another param's value, which a
+  // rate reads; R021 follows the definition DAG and must not flag them.
   const io::ModelFile file = io::parse_model_text(
       "param La_as 1/8760\n"
       "param La_os 2/8760\n"

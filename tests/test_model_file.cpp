@@ -46,7 +46,7 @@ state Y reward 0
 rate X Y b
 rate Y X 1
 )");
-  EXPECT_NEAR(file.parameters.get("b"), 6.0 / 8760.0, 1e-15);
+  EXPECT_NEAR(file.effective_parameters().get("b"), 6.0 / 8760.0, 1e-15);
 }
 
 TEST(ModelFile, CommentsAndBlankLinesIgnored) {

@@ -540,6 +540,63 @@ TEST_F(ServeBatchTest, UnknownModelBecomesErrorRecord) {
   EXPECT_NE(out.str().find("\"status\":\"error\""), std::string::npos);
 }
 
+TEST_F(ServeBatchTest, OverrideReachingNothingIsAModelErrorRecord) {
+  // A derived parameter moves with its base; a name the model does not
+  // know, and a parameter nothing depends on, are refused in the serial
+  // admission phase, so the bytes do not depend on the thread count.
+  const std::string path =
+      testing_support::unique_temp_path("serve_override_model.rasc");
+  {
+    std::ofstream model(path);
+    model << "param La0 0.001\n"
+             "param La La0*2\n"
+             "param Mu 0.5\n"
+             "param Spare 7\n"
+             "state Up reward 1\n"
+             "state Down reward 0\n"
+             "rate Up Down La\n"
+             "rate Down Up Mu\n";
+  }
+  const auto line = [&](const char* extra) {
+    return std::string("{\"model\": \"") + path + "\"" + extra + "}";
+  };
+  const std::vector<std::string> lines = {
+      line(""), line(", \"set\": {\"La0\": 0.01}"),
+      line(", \"set\": {\"Nope\": 1}"),
+      line(", \"set\": {\"Spare\": 1}"),
+      line(", \"set\": {\"La\": 0.002}")};
+  std::string first;
+  for (const std::size_t threads : {1, 4}) {
+    std::ostringstream out;
+    BatchOptions options;
+    options.threads = threads;
+    const BatchResult result = run_batch(lines, out, options);
+    EXPECT_EQ(result.succeeded, 3u);
+    EXPECT_EQ(result.failed, 2u);
+    if (first.empty()) first = out.str();
+    EXPECT_EQ(out.str(), first);
+  }
+  std::istringstream records(first);
+  std::vector<std::string> record(lines.size());
+  for (std::string& r : record) ASSERT_TRUE(std::getline(records, r));
+  // Default La = 0.002, so overriding La0 to 0.01 must change the
+  // answer and overriding La to its own default must not.
+  EXPECT_NE(record[0].substr(record[0].find("\"status\"")),
+            record[1].substr(record[1].find("\"status\"")));
+  EXPECT_EQ(record[0].substr(record[0].find("\"status\"")),
+            record[4].substr(record[4].find("\"status\"")));
+  for (const std::size_t i : {2, 3}) {
+    EXPECT_NE(record[i].find("\"status\":\"error\""), std::string::npos);
+    EXPECT_NE(record[i].find("\"class\":\"model\""), std::string::npos)
+        << record[i];
+  }
+  EXPECT_NE(record[2].find("override 'Nope' names no parameter of the model"),
+            std::string::npos);
+  EXPECT_NE(record[3].find("override 'Spare' reaches no rate or reward"),
+            std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST_F(ServeBatchTest, ColdAndWarmCacheBitIdentical) {
   // Ten requests over three distinct parameter points: the shared
   // cache must hit and the bytes must match a cache-disabled run.

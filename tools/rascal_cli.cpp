@@ -32,7 +32,8 @@
 // deadline expiry with partial results clearly marked, and a resumed
 // run emits stdout byte-identical to an uninterrupted one.
 //
-// Exit codes: 0 success; 1 internal error; 2 usage; 3 model or
+// Exit codes: 0 success; 1 internal error; 2 usage (including a --set,
+// --param or --range name that reaches no rate or reward); 3 model or
 // validation error (parse failure, lint errors, bad ranges, corrupt
 // checkpoint, golden mismatch); 4 solver nonconvergence or deadline
 // exceeded; 128+N interrupted by signal N after checkpointing (130
@@ -488,8 +489,21 @@ int report_solve_quality(const ctmc::SteadyState& steady,
   return kExitOk;
 }
 
+// Loads the model and refuses --set overrides (plus any extra names a
+// command varies, such as a sweep or range parameter) that cannot
+// change the answer: io::OverrideError exits 2 from main().
+io::ModelFile load_for_overrides(const Arguments& args,
+                                 const std::vector<std::string>& varied = {}) {
+  io::ModelFile file = io::load_model(args.model_path);
+  file.check_overrides(args.overrides);
+  for (const std::string& name : varied) {
+    file.check_overrides(expr::ParameterSet{{name, 0.0}});
+  }
+  return file;
+}
+
 int run_solve(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args);
   if (!file.name.empty()) std::printf("model: %s\n\n", file.name.c_str());
   const ctmc::Ctmc chain = file.bind(args.overrides);
   const auto steady = ctmc::solve_steady_state(
@@ -527,7 +541,7 @@ int run_lint(const Arguments& args) {
 }
 
 int run_states(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args);
   const ctmc::Ctmc chain = file.bind(args.overrides);
   const auto steady = ctmc::solve_steady_state(
       chain, args.method, ctmc::Validation::kOn,
@@ -549,11 +563,11 @@ int run_sweep(const Arguments& args) {
   if (args.sweep_param.empty() || args.points < 2) {
     return usage();
   }
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args, {args.sweep_param});
   const ctmc::SolveControl control = interactive_solve_control(args);
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
-        const ctmc::Ctmc chain = file.model.bind(params);
+        const ctmc::Ctmc chain = file.bind(params);
         const auto m = core::availability_metrics(
             chain, cache.steady_state(chain, args.method,
                                       ctmc::Validation::kOn, control));
@@ -582,7 +596,7 @@ int run_sweep(const Arguments& args) {
 }
 
 int run_mttf(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args);
   const ctmc::Ctmc chain = file.bind(args.overrides);
   const auto down_states = chain.states_with_reward_below(0.5);
   if (down_states.empty()) {
@@ -605,7 +619,7 @@ int run_mttf(const Arguments& args) {
 }
 
 int run_lump(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args);
   const ctmc::Ctmc chain = file.bind(args.overrides);
   const ctmc::Partition partition = ctmc::coarsest_ordinary_lumping(chain);
   std::printf("%zu states lump into %zu blocks:\n", chain.num_states(),
@@ -621,8 +635,8 @@ int run_lump(const Arguments& args) {
 }
 
 int run_sens(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
-  const expr::ParameterSet params = file.parameters.with(args.overrides);
+  const io::ModelFile file = load_for_overrides(args);
+  const expr::ParameterSet params = file.effective_parameters(args.overrides);
   report::TextTable table({"Parameter", "Value", "dA/dtheta",
                            "dDowntime/dtheta (min/yr per unit)"});
   for (const std::string& name : file.model.parameters()) {
@@ -718,11 +732,15 @@ int run_uncertainty(const Arguments& args) {
     std::cerr << "uncertainty: at least one --range NAME=LO:HI required\n";
     return usage();
   }
-  const io::ModelFile file = io::load_model(args.model_path);
+  std::vector<std::string> varied;
+  for (const stats::ParameterRange& range : args.ranges) {
+    varied.push_back(range.name);
+  }
+  const io::ModelFile file = load_for_overrides(args, varied);
   const ctmc::SolveControl solve_control = batch_solve_control(args);
   const analysis::ContextModelFunction metric_fn =
       [&](const expr::ParameterSet& params, ctmc::SolveCache& cache) {
-        const ctmc::Ctmc chain = file.model.bind(params);
+        const ctmc::Ctmc chain = file.bind(params);
         const auto m = core::availability_metrics(
             chain, cache.steady_state(chain, args.method,
                                       ctmc::Validation::kOn, solve_control));
@@ -965,7 +983,7 @@ int run_serve_cmd(const Arguments& args) {
 }
 
 int run_dot(const Arguments& args) {
-  const io::ModelFile file = io::load_model(args.model_path);
+  const io::ModelFile file = load_for_overrides(args);
   io::DotOptions options;
   if (!file.name.empty()) options.graph_name = file.name;
   io::write_dot(std::cout, file.bind(args.overrides), options);
@@ -1050,6 +1068,10 @@ int main(int argc, char** argv) {
   } catch (const io::ModelFileError& e) {
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
+  } catch (const io::OverrideError& e) {
+    // An override that cannot change the answer is a usage error.
+    std::cerr << "error: " << e.what() << "\n";
+    code = kExitUsage;
   } catch (const lint::LintError& e) {  // derives from std::domain_error
     std::cerr << "error: " << e.what() << "\n";
     code = kExitModelError;
